@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 
 /// Where a routing entry's matches must be sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Destination {
     /// A subscriber connected directly to this broker.
     LocalClient(SubscriberId),
@@ -77,8 +76,7 @@ impl MessageHandling {
 /// everything the broker wants sent in response comes back as wire messages
 /// addressed to neighbors. The broker does no I/O itself: a
 /// [`Transport`](crate::wire::Transport) (driven by the
-/// [`Simulation`](crate::Simulation) or the
-/// [`ParallelNetwork`](crate::ParallelNetwork)) moves the encoded frames,
+/// [`Simulation`](crate::Simulation)) moves the encoded frames,
 /// which keeps experiments deterministic and independent of the host's
 /// networking stack.
 #[derive(Debug)]
@@ -200,8 +198,7 @@ impl Broker {
     /// given neighbor.
     ///
     /// This is a bootstrap/snapshot helper (used when rebuilding a broker
-    /// from another broker's state, e.g. for [`ParallelNetwork::from_brokers`]
-    /// (crate::ParallelNetwork::from_brokers)); live registration arrives as
+    /// from another broker's state); live registration arrives as
     /// [`WireMessage::Subscribe`] through
     /// [`handle_message`](Broker::handle_message), which records the arrival
     /// link as the next hop.
@@ -1347,18 +1344,5 @@ mod tests {
         assert_eq!(handling.outgoing.len(), 2);
         assert_eq!(broker.analysis_stats(), AnalysisStats::default());
         assert_eq!(broker.local_subscriptions().len(), 3);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn destination_serde_roundtrip() {
-        let d = Destination::Neighbor(b(3));
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Destination = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
-        let d = Destination::LocalClient(SubscriberId::from_raw(4));
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Destination = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
     }
 }

@@ -31,7 +31,7 @@
 //! The central type is [`Simulation`]: build it from a [`Topology`] and a set
 //! of subscriptions, publish events, and read the metrics. Pruned routing
 //! entries are installed with [`Simulation::install_remote_tree`] (typically
-//! produced by a [`pruning::Pruner`] per broker).
+//! produced by a `pruning::Pruner` per broker).
 //!
 //! ```
 //! use broker::{Simulation, SimulationConfig, Topology};
@@ -62,7 +62,6 @@ mod broker_node;
 pub mod durability;
 pub mod fault;
 mod metrics;
-mod parallel;
 pub mod reliable;
 mod routing_table;
 mod simulation;
@@ -79,7 +78,6 @@ pub use fault::{FaultPlan, FaultStats, FaultyTransport};
 // direct `filtering` dependency.
 pub use filtering::{AnalyzeMode, DiscriminationHint, EngineConfig, EngineKind, PrefilterMode};
 pub use metrics::{AnalysisStats, NetworkStats, RoutingMemoryReport, RunReport};
-pub use parallel::{ParallelNetwork, ParallelRunReport};
 pub use pubsub_core::BrokerId;
 pub use reliable::{ReliableConfig, ReliableSession, SendOutcome};
 pub use routing_table::RoutingTable;

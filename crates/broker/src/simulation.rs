@@ -15,7 +15,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of a [`Simulation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimulationConfig {
     /// The broker topology.
     pub topology: Topology,
@@ -1339,7 +1338,8 @@ mod tests {
     fn sharded_engine_simulation_matches_counting_simulation() {
         // The whole distributed pipeline — deliveries, copy counts, exact
         // frame bytes, per-link traffic — must be identical whether the
-        // brokers match with the single-threaded or the sharded engine.
+        // brokers match with the single-threaded or the sharded engine, on
+        // the paper's line and on a star whose hub fans out to every leaf.
         let subs = vec![
             sub(1, 0, &Expr::eq("category", "books")),
             sub(
@@ -1356,25 +1356,27 @@ mod tests {
         let events: Vec<EventMessage> = (0..30).map(|i| books((i * 5) % 60)).collect();
         let batch: pubsub_core::EventBatch = events.iter().cloned().collect();
 
-        let mut counting = line_simulation();
-        counting.register_all(subs.clone());
-        let reference = counting.publish_batch(&batch);
+        for topology in [Topology::line(5), Topology::star(4)] {
+            let mut counting = Simulation::new(SimulationConfig::new(topology.clone()));
+            counting.register_all(subs.clone());
+            let reference = counting.publish_batch(&batch);
 
-        let config = SimulationConfig::new(Topology::line(5)).with_engine(EngineKind::Sharded(3));
-        let mut sharded = Simulation::new(config);
-        assert_eq!(
-            sharded.broker(b(0)).unwrap().engine_kind(),
-            EngineKind::Sharded(3)
-        );
-        sharded.register_all(subs);
-        let report = sharded.publish_batch(&batch);
+            let config = SimulationConfig::new(topology).with_engine(EngineKind::Sharded(3));
+            let mut sharded = Simulation::new(config);
+            assert_eq!(
+                sharded.broker(b(0)).unwrap().engine_kind(),
+                EngineKind::Sharded(3)
+            );
+            sharded.register_all(subs.clone());
+            let report = sharded.publish_batch(&batch);
 
-        assert_eq!(report.deliveries, reference.deliveries);
-        assert_eq!(report.network.messages, reference.network.messages);
-        assert_eq!(report.network.frames, reference.network.frames);
-        assert_eq!(report.network.bytes, reference.network.bytes);
-        assert_eq!(report.network.per_link, reference.network.per_link);
-        assert_eq!(report.filter_stats.matches, reference.filter_stats.matches);
+            assert_eq!(report.deliveries, reference.deliveries);
+            assert_eq!(report.network.messages, reference.network.messages);
+            assert_eq!(report.network.frames, reference.network.frames);
+            assert_eq!(report.network.bytes, reference.network.bytes);
+            assert_eq!(report.network.per_link, reference.network.per_link);
+            assert_eq!(report.filter_stats.matches, reference.filter_stats.matches);
+        }
     }
 
     #[test]

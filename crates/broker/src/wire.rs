@@ -781,10 +781,9 @@ impl<'a> Reader<'a> {
 /// `true` only when *no* frame is buffered anywhere inside the transport —
 /// including frames an implementation is holding back internally (delay
 /// queues, reorder buffers, partially flushed sockets). The drain loops of
-/// [`Simulation`](crate::Simulation) and the in-flight accounting of
-/// [`ParallelNetwork`](crate::ParallelNetwork) use it to decide that the
-/// network has gone quiet; a transport that under-reports lets those loops
-/// terminate early and lose frames. Equivalently: after `is_idle()` returns
+/// [`Simulation`](crate::Simulation) use it to decide that the network has
+/// gone quiet; a transport that under-reports lets those loops terminate
+/// early and lose frames. Equivalently: after `is_idle()` returns
 /// `true`, `recv_into` must return `None` until the next `send`.
 ///
 /// [`ChannelTransport`] is the in-memory implementation the deterministic

@@ -9,7 +9,6 @@
 /// or constraint-free populations the fingerprinting overhead buys nothing,
 /// which is what the `Auto` heuristic accounts for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PrefilterMode {
     /// Always pre-filter, regardless of engine size.
     On,
@@ -33,7 +32,6 @@ pub enum PrefilterMode {
 /// indexed at all. Match output is unaffected either way — normalization is
 /// semantics-preserving and unsatisfiable trees can never match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AnalyzeMode {
     /// Analyze and normalize every subscription at insertion.
     #[default]
@@ -56,7 +54,6 @@ impl AnalyzeMode {
 /// setting is semantics-preserving — match output is byte-identical across
 /// all configurations, only the work done to produce it changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EngineConfig {
     /// When the stage-0 pre-filter is active.
     pub prefilter: PrefilterMode,

@@ -98,7 +98,7 @@ impl Default for SlotFilter {
 ///
 /// Rebuilt lazily whenever the subscription set, the engine configuration,
 /// or the discrimination hint changes; queried once per `(event, candidate)`
-/// emission on the hot path. See the [module docs](self) for the semantics.
+/// emission on the hot path. See the module docs for the semantics.
 #[derive(Debug, Default)]
 pub struct PreFilter {
     /// Whether stage 0 runs at all (resolved from [`PrefilterMode`] at
