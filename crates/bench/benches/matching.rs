@@ -20,6 +20,25 @@ const SUBSCRIPTION_PANEL: [usize; 2] = [2_000, 10_000];
 const WIDTH_PANEL: [usize; 2] = [10, 4];
 const EVENTS: usize = 200;
 
+/// Matches `events` one at a time through one reused one-event batch and
+/// sink, returning the match count — the per-event probe a broker runs for
+/// a one-event `PublishBatch` frame.
+fn match_one_by_one(
+    engine: &mut dyn MatchingEngine,
+    events: &EventBatch,
+    one: &mut EventBatch,
+    sink: &mut CountSink,
+) -> u64 {
+    let mut matches = 0;
+    for i in 0..events.len() {
+        one.clear();
+        one.push_from(events, i);
+        engine.match_batch(one, sink);
+        matches += sink.count();
+    }
+    matches
+}
+
 fn workload(subscriptions: usize, events: usize) -> (Vec<Subscription>, Vec<EventMessage>) {
     let mut generator = WorkloadGenerator::new(WorkloadConfig::small());
     (
@@ -37,11 +56,13 @@ fn bench_matching_panel(c: &mut Criterion) {
     group.throughput(Throughput::Elements(EVENTS as u64));
 
     for &width in &WIDTH_PANEL {
-        let events = if width >= 10 {
-            full_events.clone()
+        let events: EventBatch = if width >= 10 {
+            full_events.iter().cloned().collect()
         } else {
-            narrow_events(&full_events, width)
+            narrow_events(&full_events, width).into_iter().collect()
         };
+        let mut one = EventBatch::new();
+        let mut sink = CountSink::new();
         for &sub_count in &SUBSCRIPTION_PANEL {
             let subs = &all_subs[..sub_count];
 
@@ -49,16 +70,8 @@ fn bench_matching_panel(c: &mut Criterion) {
             for s in subs {
                 counting.insert(s.clone());
             }
-            let mut scratch: Vec<SubscriptionId> = Vec::new();
             group.bench_function(format!("counting/subs{sub_count}/width{width}"), |b| {
-                b.iter(|| {
-                    let mut matches = 0usize;
-                    for event in &events {
-                        counting.match_event_into(event, &mut scratch);
-                        matches += scratch.len();
-                    }
-                    matches
-                });
+                b.iter(|| match_one_by_one(&mut counting, &events, &mut one, &mut sink));
             });
 
             let mut naive = NaiveEngine::new();
@@ -66,13 +79,7 @@ fn bench_matching_panel(c: &mut Criterion) {
                 naive.insert(s.clone());
             }
             group.bench_function(format!("naive/subs{sub_count}/width{width}"), |b| {
-                b.iter(|| {
-                    let mut matches = 0usize;
-                    for event in &events {
-                        matches += naive.match_event(event).len();
-                    }
-                    matches
-                });
+                b.iter(|| match_one_by_one(&mut naive, &events, &mut one, &mut sink));
             });
         }
     }
@@ -220,15 +227,10 @@ fn bench_pruned_and_construction(c: &mut Criterion) {
         for s in pruner.pruned_subscriptions() {
             engine.insert(s);
         }
-        let mut scratch: Vec<SubscriptionId> = Vec::new();
-        b.iter(|| {
-            let mut matches = 0usize;
-            for event in &events {
-                engine.match_event_into(event, &mut scratch);
-                matches += scratch.len();
-            }
-            matches
-        });
+        let events: EventBatch = events.iter().cloned().collect();
+        let mut one = EventBatch::new();
+        let mut sink = CountSink::new();
+        b.iter(|| match_one_by_one(&mut engine, &events, &mut one, &mut sink));
     });
 
     group.bench_function("engine_construction", |b| {

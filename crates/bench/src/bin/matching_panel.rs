@@ -342,21 +342,30 @@ fn time_engine(
     events: &[EventMessage],
     passes: usize,
 ) -> (usize, f64) {
-    // The timed loop reuses one output buffer via `match_event_into`, so the
-    // counting engine's steady state is measured allocation-free — the same
-    // way the criterion panel and the broker hot path drive it. One untimed
-    // warm-up pass lets the engine allocate its scratch before measurement.
-    let mut buffer = Vec::new();
-    for event in events {
-        engine.match_event_into(event, &mut buffer);
-    }
+    // Every event is matched as its own batch: one reused one-event batch
+    // is refilled from `all` and driven through `match_batch` into one
+    // reused sink, so the counting engine's per-event probe is measured
+    // allocation-free — the way a broker handles a one-event `PublishBatch`
+    // frame. One untimed warm-up pass lets the engine allocate its scratch
+    // before measurement.
+    let all: EventBatch = events.iter().cloned().collect();
+    let mut one = EventBatch::new();
+    let mut sink = CountSink::new();
+    let mut pass = |engine: &mut dyn MatchingEngine| {
+        let mut matches = 0usize;
+        for i in 0..all.len() {
+            one.clear();
+            one.push_from(&all, i);
+            engine.match_batch(&one, &mut sink);
+            matches += sink.count() as usize;
+        }
+        matches
+    };
+    pass(engine);
     let start = Instant::now();
     let mut matches = 0usize;
     for _ in 0..passes {
-        for event in events {
-            engine.match_event_into(event, &mut buffer);
-            matches += buffer.len();
-        }
+        matches += pass(engine);
     }
     let elapsed = start.elapsed();
     let matches_per_pass = matches / passes.max(1);

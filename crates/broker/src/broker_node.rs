@@ -6,8 +6,6 @@ use crate::routing_table::RoutingTable;
 use crate::wire::WireMessage;
 use filtering::{EngineConfig, EngineKind, FilterStats};
 use pubsub_core::analysis::{implies, Analyzer};
-#[cfg(test)]
-use pubsub_core::EventMessage;
 use pubsub_core::{
     BrokerId, EventBatch, Expr, SubscriberId, Subscription, SubscriptionId, SubscriptionTree,
 };
@@ -20,28 +18,6 @@ pub enum Destination {
     LocalClient(SubscriberId),
     /// The neighbor broker on the path towards the subscriber's home broker.
     Neighbor(BrokerId),
-}
-
-/// The result of a broker processing one incoming event.
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct EventHandling {
-    /// Notifications to deliver to local subscribers.
-    pub deliveries: Vec<(SubscriberId, SubscriptionId)>,
-    /// Neighbors that need their own copy of the event.
-    pub forward_to: Vec<BrokerId>,
-}
-
-/// The result of a broker processing one incoming event batch.
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BatchHandling {
-    /// Notifications to deliver to local subscribers, tagged with the batch
-    /// index of the triggering event.
-    pub deliveries: Vec<(usize, SubscriberId, SubscriptionId)>,
-    /// Per batch event, the neighbors that need their own copy
-    /// (`forward_to[i]` belongs to the event at batch index `i`).
-    pub forward_to: Vec<Vec<BrokerId>>,
 }
 
 /// The result of a broker processing one incoming [`WireMessage`].
@@ -549,57 +525,6 @@ impl Broker {
         }
     }
 
-    /// Processes one event: matches it against the routing table and reports
-    /// local deliveries plus the neighbors that need a copy.
-    ///
-    /// `from` is the neighbor the event arrived from (`None` when the event
-    /// was published by a local client); it is excluded from forwarding.
-    /// Internal helper behind the [`handle_message`](Self::handle_message)
-    /// ingress.
-    #[cfg(test)]
-    pub(crate) fn handle_event(
-        &mut self,
-        event: &EventMessage,
-        from: Option<BrokerId>,
-    ) -> EventHandling {
-        EventHandling {
-            deliveries: self.table.match_local(event),
-            forward_to: self.table.neighbors_to_forward(event, from),
-        }
-    }
-
-    /// Processes a whole batch of events that arrived over one link: each
-    /// local and per-neighbor engine is driven once for the entire batch.
-    /// Internal helper behind the [`handle_message`](Self::handle_message)
-    /// ingress.
-    #[cfg(test)]
-    pub(crate) fn handle_batch(
-        &mut self,
-        batch: &EventBatch,
-        from: Option<BrokerId>,
-    ) -> BatchHandling {
-        let mut handling = BatchHandling::default();
-        self.handle_batch_into(batch, from, &mut handling);
-        handling
-    }
-
-    /// Like `handle_batch`, but refills a caller-provided [`BatchHandling`]
-    /// (replacing its contents) so the delivery and forwarding buffers are
-    /// reused hop after hop. Internal helper behind
-    /// [`handle_message`](Self::handle_message).
-    #[cfg(test)]
-    pub(crate) fn handle_batch_into(
-        &mut self,
-        batch: &EventBatch,
-        from: Option<BrokerId>,
-        handling: &mut BatchHandling,
-    ) {
-        self.table
-            .match_local_batch(batch, &mut handling.deliveries);
-        self.table
-            .forward_batch(batch, from, &mut handling.forward_to);
-    }
-
     /// Memory accounting of this broker's routing table.
     pub fn memory_report(&self) -> RoutingMemoryReport {
         self.table.memory_report()
@@ -698,7 +623,7 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pubsub_core::Expr;
+    use pubsub_core::{EventMessage, Expr};
 
     fn b(i: u32) -> BrokerId {
         BrokerId::from_raw(i)
@@ -723,6 +648,45 @@ mod tests {
             .build()
     }
 
+    /// Publishes one event through the public ingress (a one-event
+    /// `PublishBatch`, as `Simulation::publish_at` sends), returning the
+    /// local deliveries and the neighbors that were sent a copy.
+    fn publish(
+        broker: &mut Broker,
+        event: &EventMessage,
+        from: Option<BrokerId>,
+    ) -> (Vec<(SubscriberId, SubscriptionId)>, Vec<BrokerId>) {
+        let message = WireMessage::PublishBatch {
+            events: std::iter::once(event.clone()).collect(),
+        };
+        let handling = broker.handle_message(&message, from);
+        (
+            handling
+                .deliveries
+                .iter()
+                .map(|&(_, subscriber, id)| (subscriber, id))
+                .collect(),
+            handling.outgoing.iter().map(|(to, _)| *to).collect(),
+        )
+    }
+
+    /// Local deliveries `(event index, subscriber, subscription)` and, per
+    /// event, the neighbors that need a copy.
+    type Routed = (
+        Vec<(usize, SubscriberId, SubscriptionId)>,
+        Vec<Vec<BrokerId>>,
+    );
+
+    /// The routing decision behind the publish path, straight from the
+    /// routing table.
+    fn route(broker: &mut Broker, batch: &EventBatch, from: Option<BrokerId>) -> Routed {
+        let mut deliveries = Vec::new();
+        let mut forward = Vec::new();
+        broker.table.match_local_batch(batch, &mut deliveries);
+        broker.table.forward_batch(batch, from, &mut forward);
+        (deliveries, forward)
+    }
+
     #[test]
     fn identity_and_neighbors() {
         let broker = broker();
@@ -737,17 +701,17 @@ mod tests {
         broker.register_remote(sub(2, 22, &Expr::eq("category", "books")), b(0));
         broker.register_remote(sub(3, 33, &Expr::eq("category", "music")), b(2));
 
-        let handling = broker.handle_event(&books_event(), None);
+        let (deliveries, forward_to) = publish(&mut broker, &books_event(), None);
         assert_eq!(
-            handling.deliveries,
+            deliveries,
             vec![(SubscriberId::from_raw(11), SubscriptionId::from_raw(1))]
         );
-        assert_eq!(handling.forward_to, vec![b(0)]);
+        assert_eq!(forward_to, vec![b(0)]);
 
         // An event arriving from broker 0 is not forwarded back there.
-        let handling = broker.handle_event(&books_event(), Some(b(0)));
-        assert!(handling.forward_to.is_empty());
-        assert_eq!(handling.deliveries.len(), 1);
+        let (deliveries, forward_to) = publish(&mut broker, &books_event(), Some(b(0)));
+        assert!(forward_to.is_empty());
+        assert_eq!(deliveries.len(), 1);
     }
 
     #[test]
@@ -765,18 +729,17 @@ mod tests {
                 .build(),
         ];
         let batch: EventBatch = events.iter().cloned().collect();
-        let handling = broker.handle_batch(&batch, Some(b(0)));
-        assert_eq!(handling.forward_to.len(), 2);
+        let (deliveries, forward_to) = route(&mut broker, &batch, Some(b(0)));
+        assert_eq!(forward_to.len(), 2);
         for (i, event) in events.iter().enumerate() {
-            let single = broker.handle_event(event, Some(b(0)));
-            let batch_deliveries: Vec<(SubscriberId, SubscriptionId)> = handling
-                .deliveries
+            let (single_deliveries, single_forward_to) = publish(&mut broker, event, Some(b(0)));
+            let batch_deliveries: Vec<(SubscriberId, SubscriptionId)> = deliveries
                 .iter()
                 .filter(|(e, _, _)| *e == i)
                 .map(|&(_, subscriber, id)| (subscriber, id))
                 .collect();
-            assert_eq!(batch_deliveries, single.deliveries, "event {i}");
-            assert_eq!(handling.forward_to[i], single.forward_to, "event {i}");
+            assert_eq!(batch_deliveries, single_deliveries, "event {i}");
+            assert_eq!(forward_to[i], single_forward_to, "event {i}");
         }
     }
 
@@ -857,18 +820,18 @@ mod tests {
                 .build(),
         ];
         let batch: EventBatch = events.iter().cloned().collect();
-        let reference = broker.handle_batch(&batch, None);
+        let (reference_deliveries, reference_forward_to) = route(&mut broker, &batch, None);
         let handling = broker.handle_message(
             &WireMessage::PublishBatch {
                 events: batch.clone(),
             },
             None,
         );
-        assert_eq!(handling.deliveries, reference.deliveries);
+        assert_eq!(handling.deliveries, reference_deliveries);
         // The per-event forwarding sets regroup into one sub-batch per
         // neighbor, in ascending neighbor order.
         let mut expected: Vec<(BrokerId, Vec<usize>)> = Vec::new();
-        for (i, neighbors) in reference.forward_to.iter().enumerate() {
+        for (i, neighbors) in reference_forward_to.iter().enumerate() {
             for n in neighbors {
                 match expected.iter_mut().find(|(to, _)| to == n) {
                     Some((_, idx)) => idx.push(i),
@@ -985,18 +948,12 @@ mod tests {
             ),
             b(2),
         );
-        assert!(broker
-            .handle_event(&books_event(), None)
-            .forward_to
-            .is_empty());
+        assert!(publish(&mut broker, &books_event(), None).1.is_empty());
         assert!(broker.install_remote_tree(
             SubscriptionId::from_raw(1),
             SubscriptionTree::from_expr(&Expr::eq("category", "books")),
         ));
-        assert_eq!(
-            broker.handle_event(&books_event(), None).forward_to,
-            vec![b(2)]
-        );
+        assert_eq!(publish(&mut broker, &books_event(), None).1, vec![b(2)]);
         // Local entries cannot be replaced through this API.
         broker.register_local(sub(5, 55, &Expr::eq("x", 1i64)));
         assert!(!broker.install_remote_tree(
@@ -1021,7 +978,7 @@ mod tests {
         let mut broker = broker();
         broker.register_local(sub(1, 11, &Expr::eq("category", "books")));
         broker.register_remote(sub(2, 22, &Expr::eq("category", "books")), b(0));
-        let _ = broker.handle_event(&books_event(), None);
+        let _ = publish(&mut broker, &books_event(), None);
         assert!(broker.filter_stats().events_filtered > 0);
         broker.reset_filter_stats();
         assert_eq!(broker.filter_stats().events_filtered, 0);
@@ -1197,8 +1154,8 @@ mod tests {
         assert_eq!(broker.suppressed_toward(b(0)), 1);
         assert_eq!(broker.suppressed_toward(b(2)), 1);
         // The suppressed subscription is fully registered locally.
-        let event_handling = broker.handle_event(&books_event(), None);
-        assert_eq!(event_handling.deliveries.len(), 2);
+        let (deliveries, _) = publish(&mut broker, &books_event(), None);
+        assert_eq!(deliveries.len(), 2);
 
         // Removing the subsumer re-issues the blocked flood alongside the
         // unsubscribe propagation, so downstream routing stays complete.

@@ -3,12 +3,10 @@
 
 use crate::metrics::RoutingMemoryReport;
 use filtering::{
-    AnyEngine, DiscriminationHint, EngineConfig, EngineKind, FilterStats, MatchSink,
-    MatchingEngine, VecSink,
+    AnyEngine, DiscriminationHint, EngineConfig, EngineKind, FilterStats, MatchSink, VecSink,
 };
 use pubsub_core::{
-    BrokerId, EventBatch, EventMessage, SubscriberId, Subscription, SubscriptionId,
-    SubscriptionTree,
+    BrokerId, EventBatch, SubscriberId, Subscription, SubscriptionId, SubscriptionTree,
 };
 use std::collections::BTreeMap;
 
@@ -61,9 +59,6 @@ pub struct RoutingTable {
     per_neighbor: BTreeMap<BrokerId, AnyEngine>,
     /// Where each remote entry currently lives (subscription id → neighbor).
     remote_destination: BTreeMap<SubscriptionId, BrokerId>,
-    /// Reusable match buffer so per-event routing allocates nothing in
-    /// steady state (events are matched through `match_event_into`).
-    match_scratch: Vec<SubscriptionId>,
     /// Reusable sink for batch-matching the local engine.
     batch_sink: VecSink,
     /// Reusable per-event matched flags for the per-neighbor forwarding
@@ -139,10 +134,16 @@ impl RoutingTable {
     }
 
     /// Registers a remote entry whose matches must be forwarded towards the
-    /// given neighbor.
+    /// given neighbor. An entry with the same id that pointed towards a
+    /// different neighbor is moved, not duplicated.
     pub fn add_remote(&mut self, subscription: Subscription, toward: BrokerId) {
         let id = subscription.id();
-        self.remote_destination.insert(id, toward);
+        let previous = self.remote_destination.insert(id, toward);
+        if let Some(previous) = previous.filter(|&previous| previous != toward) {
+            if let Some(engine) = self.per_neighbor.get_mut(&previous) {
+                engine.remove(id);
+            }
+        }
         let kind = self.engine_kind;
         let config = self.engine_config;
         let hint = &self.hint;
@@ -237,31 +238,10 @@ impl RoutingTable {
             }))
     }
 
-    /// Matches an event against the local entries, returning
-    /// `(subscriber, subscription)` pairs to notify.
-    pub fn match_local(&mut self, event: &EventMessage) -> Vec<(SubscriberId, SubscriptionId)> {
-        let mut ids = std::mem::take(&mut self.match_scratch);
-        self.local.match_event_into(event, &mut ids);
-        let hits = ids
-            .iter()
-            .map(|&id| {
-                let subscriber = self
-                    .local
-                    .get(id)
-                    .expect("matched subscription is registered")
-                    .subscriber();
-                (subscriber, id)
-            })
-            .collect();
-        self.match_scratch = ids;
-        hits
-    }
-
     /// Matches a whole batch against the local entries, replacing `out` with
     /// `(event index, subscriber, subscription)` triples to notify.
     ///
-    /// This is the batch analogue of [`match_local`](Self::match_local): the
-    /// local engine is driven once for the whole batch, and the table's
+    /// The local engine is driven once for the whole batch, and the table's
     /// reusable sink keeps the operation allocation-free in steady state
     /// (apart from growing `out`).
     pub fn match_local_batch(
@@ -320,29 +300,6 @@ impl RoutingTable {
         }
     }
 
-    /// Determines which neighbors need a copy of the event: every neighbor
-    /// (except `exclude`, the link the event arrived on) whose engine reports
-    /// at least one matching remote entry.
-    pub fn neighbors_to_forward(
-        &mut self,
-        event: &EventMessage,
-        exclude: Option<BrokerId>,
-    ) -> Vec<BrokerId> {
-        let mut forward = Vec::new();
-        let mut ids = std::mem::take(&mut self.match_scratch);
-        for (neighbor, engine) in &mut self.per_neighbor {
-            if Some(*neighbor) == exclude {
-                continue;
-            }
-            engine.match_event_into(event, &mut ids);
-            if !ids.is_empty() {
-                forward.push(*neighbor);
-            }
-        }
-        self.match_scratch = ids;
-        forward
-    }
-
     /// Number of local entries.
     pub fn local_len(&self) -> usize {
         self.local.len()
@@ -396,7 +353,7 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pubsub_core::Expr;
+    use pubsub_core::{EventMessage, Expr};
 
     fn b(i: u32) -> BrokerId {
         BrokerId::from_raw(i)
@@ -417,12 +374,39 @@ mod tests {
             .build()
     }
 
+    fn one(event: &EventMessage) -> EventBatch {
+        std::iter::once(event.clone()).collect()
+    }
+
+    /// The local `(subscriber, subscription)` hits of one event.
+    fn local_hits(
+        table: &mut RoutingTable,
+        event: &EventMessage,
+    ) -> Vec<(SubscriberId, SubscriptionId)> {
+        let mut out = Vec::new();
+        table.match_local_batch(&one(event), &mut out);
+        out.into_iter()
+            .map(|(_, subscriber, id)| (subscriber, id))
+            .collect()
+    }
+
+    /// The neighbors one event is forwarded to.
+    fn forward_targets(
+        table: &mut RoutingTable,
+        event: &EventMessage,
+        exclude: Option<BrokerId>,
+    ) -> Vec<BrokerId> {
+        let mut out = Vec::new();
+        table.forward_batch(&one(event), exclude, &mut out);
+        out.pop().unwrap_or_default()
+    }
+
     #[test]
     fn local_matching_reports_subscribers() {
         let mut table = RoutingTable::new();
         table.add_local(sub(1, 10, &Expr::eq("category", "books")));
         table.add_local(sub(2, 20, &Expr::eq("category", "music")));
-        let hits = table.match_local(&books_event(5));
+        let hits = local_hits(&mut table, &books_event(5));
         assert_eq!(
             hits,
             vec![(SubscriberId::from_raw(10), SubscriptionId::from_raw(1))]
@@ -436,11 +420,35 @@ mod tests {
         let mut table = RoutingTable::new();
         table.add_remote(sub(1, 10, &Expr::eq("category", "books")), b(1));
         table.add_remote(sub(2, 20, &Expr::eq("category", "music")), b(2));
-        let forward = table.neighbors_to_forward(&books_event(5), None);
+        let forward = forward_targets(&mut table, &books_event(5), None);
         assert_eq!(forward, vec![b(1)]);
         // The link the event arrived on is excluded even if it matches.
-        let forward = table.neighbors_to_forward(&books_event(5), Some(b(1)));
+        let forward = forward_targets(&mut table, &books_event(5), Some(b(1)));
         assert!(forward.is_empty());
+    }
+
+    #[test]
+    fn re_homing_a_remote_entry_moves_it() {
+        let mut table = RoutingTable::new();
+        let entry = sub(1, 10, &Expr::eq("category", "books"));
+        table.add_remote(entry.clone(), b(1));
+        table.add_remote(entry, b(2));
+        assert_eq!(
+            table.remote_destination(SubscriptionId::from_raw(1)),
+            Some(b(2))
+        );
+        assert_eq!(table.remote_len(), 1);
+        assert_eq!(table.remote_subscriptions().len(), 1);
+        assert_eq!(table.memory_report().remote_subscriptions, 1);
+        // The event goes towards the new home only.
+        assert_eq!(
+            forward_targets(&mut table, &books_event(5), None),
+            vec![b(2)]
+        );
+        // Removal leaves nothing behind at either neighbor.
+        assert!(table.remove(SubscriptionId::from_raw(1)).is_some());
+        assert!(table.remote_subscriptions().is_empty());
+        assert!(forward_targets(&mut table, &books_event(5), None).is_empty());
     }
 
     #[test]
@@ -456,14 +464,12 @@ mod tests {
         );
         table.add_remote(original.clone(), b(1));
         // An expensive book does not match the exact entry.
-        assert!(table
-            .neighbors_to_forward(&books_event(50), None)
-            .is_empty());
+        assert!(forward_targets(&mut table, &books_event(50), None).is_empty());
         // Install the pruned entry (price constraint removed).
         let pruned_tree = SubscriptionTree::from_expr(&Expr::eq("category", "books"));
         assert!(table.install_remote_tree(SubscriptionId::from_raw(1), pruned_tree));
         assert_eq!(
-            table.neighbors_to_forward(&books_event(50), None),
+            forward_targets(&mut table, &books_event(50), None),
             vec![b(1)]
         );
         // Destination is unchanged.
@@ -549,7 +555,7 @@ mod tests {
         table.add_remote(sub(4, 40, &Expr::ge("price", 100i64)), b(2));
 
         let events: Vec<EventMessage> = vec![books_event(2), books_event(50), books_event(200)];
-        let batch: pubsub_core::EventBatch = events.iter().cloned().collect();
+        let batch: EventBatch = events.iter().cloned().collect();
 
         let mut local = Vec::new();
         table.match_local_batch(&batch, &mut local);
@@ -558,14 +564,14 @@ mod tests {
         assert_eq!(forward.len(), batch.len());
 
         for (i, event) in events.iter().enumerate() {
-            let expected_local: Vec<(SubscriberId, SubscriptionId)> = table.match_local(event);
+            let expected_local = local_hits(&mut table, event);
             let got_local: Vec<(SubscriberId, SubscriptionId)> = local
                 .iter()
                 .filter(|(e, _, _)| *e == i)
                 .map(|&(_, subscriber, id)| (subscriber, id))
                 .collect();
             assert_eq!(got_local, expected_local, "event {i}");
-            let expected_forward = table.neighbors_to_forward(event, None);
+            let expected_forward = forward_targets(&mut table, event, None);
             assert_eq!(forward[i], expected_forward, "event {i}");
         }
 
@@ -578,13 +584,13 @@ mod tests {
     fn forward_batch_resizes_and_clears_reused_buffers() {
         let mut table = RoutingTable::new();
         table.add_remote(sub(1, 10, &Expr::eq("category", "books")), b(1));
-        let big: pubsub_core::EventBatch = (0..4).map(|_| books_event(1)).collect();
+        let big: EventBatch = (0..4).map(|_| books_event(1)).collect();
         let mut out = Vec::new();
         table.forward_batch(&big, None, &mut out);
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|n| n == &vec![b(1)]));
         // A smaller follow-up batch must not leak entries from the big one.
-        let small: pubsub_core::EventBatch =
+        let small: EventBatch =
             std::iter::once(EventMessage::builder().attr("category", "music").build()).collect();
         table.forward_batch(&small, None, &mut out);
         assert_eq!(out.len(), 1);
@@ -602,10 +608,9 @@ mod tests {
             table.add_remote(sub(3, 30, &Expr::eq("category", "books")), b(1));
             table.add_remote(sub(4, 40, &Expr::ge("price", 100i64)), b(2));
         }
-        let batch: pubsub_core::EventBatch =
-            vec![books_event(2), books_event(50), books_event(200)]
-                .into_iter()
-                .collect();
+        let batch: EventBatch = vec![books_event(2), books_event(50), books_event(200)]
+            .into_iter()
+            .collect();
         let mut expected_local = Vec::new();
         counting.match_local_batch(&batch, &mut expected_local);
         let mut got_local = Vec::new();
@@ -644,8 +649,8 @@ mod tests {
         // local and the per-neighbor engine, and the stage counters must
         // surface in the merged stats.
         let no_price = EventMessage::builder().attr("category", "books").build();
-        assert!(table.match_local(&no_price).is_empty());
-        assert!(table.neighbors_to_forward(&no_price, None).is_empty());
+        assert!(local_hits(&mut table, &no_price).is_empty());
+        assert!(forward_targets(&mut table, &no_price, None).is_empty());
         let stats = table.filter_stats();
         assert_eq!(stats.killed_by_prefilter, 2);
         assert_eq!(stats.stage2_candidates, 0);
@@ -653,8 +658,8 @@ mod tests {
         // event now reaches stage 2 (and is rejected there by pmin counting).
         table.set_engine_config(EngineConfig::with_prefilter(PrefilterMode::Off));
         assert_eq!(table.engine_config().prefilter, PrefilterMode::Off);
-        assert!(table.match_local(&no_price).is_empty());
-        assert!(table.neighbors_to_forward(&no_price, None).is_empty());
+        assert!(local_hits(&mut table, &no_price).is_empty());
+        assert!(forward_targets(&mut table, &no_price, None).is_empty());
         let stats = table.filter_stats();
         assert_eq!(stats.killed_by_prefilter, 2, "stage 0 no longer killing");
         assert_eq!(stats.stage2_candidates, 2);
@@ -665,8 +670,8 @@ mod tests {
         let mut table = RoutingTable::new();
         table.add_local(sub(1, 10, &Expr::eq("category", "books")));
         table.add_remote(sub(2, 20, &Expr::eq("category", "books")), b(1));
-        let _ = table.match_local(&books_event(1));
-        let _ = table.neighbors_to_forward(&books_event(1), None);
+        let _ = local_hits(&mut table, &books_event(1));
+        let _ = forward_targets(&mut table, &books_event(1), None);
         let stats = table.filter_stats();
         assert_eq!(stats.events_filtered, 2); // one per engine touched
         assert_eq!(stats.matches, 2);

@@ -19,7 +19,7 @@
 //!   a sorted subscriber list.
 //! * **Leaves reuse the existing machinery.** Each distinct predicate leaf is
 //!   registered once in the [`AttributeIndex`], keyed by its DAG node id, so
-//!   the single-event probe and the batch-aware [`ProbePlan`] (which groups a
+//!   the per-event probe and the batch-aware [`ProbePlan`] (which groups a
 //!   whole batch's probes by attribute run) work unchanged.
 //! * **Evaluation is at most once per node per event.** Matching touches the
 //!   fulfilled leaves, then sweeps scheduled interior nodes bottom-up in
@@ -33,25 +33,21 @@
 //!
 //! Match output is **byte-identical** to [`CountingEngine`](crate::CountingEngine):
 //! id-sorted per event, deterministic, and differential-tested across batch
-//! and single-event paths, churn, and analyze on/off.
+//! sizes on both sides of the probe fork, churn, and analyze on/off.
 //!
 //! The stage-0 pre-filter is per-*subscription* (kill a subscription before
 //! counting); a shared leaf has no single owning subscription, so this engine
-//! keeps a permanently disabled [`PreFilter`] purely to drive the probe plan.
-//! The lazy default-value scheduling plays the same role: untouched regions
-//! of the DAG cost nothing.
+//! runs the probe plan without one. The lazy default-value scheduling plays
+//! the same role: untouched regions of the DAG cost nothing.
 
 use crate::config::EngineConfig;
 use crate::index::{AttributeIndex, PredicateKey, SubSlot};
-use crate::prefilter::PreFilter;
 use crate::probe::ProbePlan;
 use crate::{EngineReport, FilterStats, MatchSink, MatchingEngine};
 use pubsub_core::analysis::{
     and_fingerprint, not_fingerprint, or_fingerprint, predicate_fingerprint,
 };
-use pubsub_core::{
-    EventBatch, EventMessage, Expr, NodeId, Predicate, Subscription, SubscriptionId,
-};
+use pubsub_core::{EventBatch, Expr, NodeId, Predicate, Subscription, SubscriptionId};
 use selectivity::DiscriminationHint;
 use std::collections::{BTreeMap, HashMap};
 use std::mem::size_of;
@@ -223,10 +219,6 @@ pub struct ATreeEngine {
     /// `FilterStats::shared_subtrees`).
     shared_count: u64,
     index: AttributeIndex,
-    /// Permanently disabled; exists to drive [`ProbePlan::run`], which
-    /// applies stage-0 kills at emission time for the counting engine. The
-    /// per-subscription kill model does not fit shared leaves.
-    prefilter: PreFilter,
     /// Batch-probing scratch (shared with the counting engine's stage 1).
     probe: ProbePlan,
     scratch: AtreeScratch,
@@ -256,70 +248,19 @@ impl ATreeEngine {
 
     /// Creates an empty engine with capacity for roughly `n` subscriptions.
     pub fn with_capacity(n: usize) -> Self {
-        Self::with_config_and_capacity(EngineConfig::default(), n)
-    }
-
-    /// Creates an empty engine with the given configuration.
-    pub fn with_config(config: EngineConfig) -> Self {
-        Self::with_config_and_capacity(config, 0)
-    }
-
-    /// Creates an empty engine with the given configuration and capacity for
-    /// roughly `n` subscriptions.
-    pub fn with_config_and_capacity(config: EngineConfig, n: usize) -> Self {
         Self {
             nodes: Vec::with_capacity(n),
             id_to_root: HashMap::with_capacity(n),
-            config,
             ..Self::default()
         }
     }
 
-    /// The engine's configuration. Only the `analyze` half has an effect
-    /// here; the stage-0 pre-filter mode is ignored (see the module docs).
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Replaces the configuration. Affects subsequent insertions only;
-    /// match output is unaffected.
-    pub fn set_config(&mut self, config: EngineConfig) {
-        self.config = config;
-    }
-
-    /// Installs (or clears) the sampled discrimination hint. The A-Tree
-    /// uses it only as the analyzer's selectivity oracle at registration.
-    pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
-        self.hint = hint;
-    }
-
-    /// Always `false`: the per-subscription stage-0 pre-filter does not
-    /// apply to shared leaves (kept for API parity with the counting
-    /// engine, which the sharded fan-out calls through).
-    pub fn prefilter_enabled(&mut self) -> bool {
-        false
-    }
-
-    /// Iterates over the registered subscriptions in id order.
-    pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
-        self.subs.values()
-    }
-
-    /// Direct access to the underlying predicate index (read-only).
-    pub fn index(&self) -> &AttributeIndex {
-        &self.index
-    }
-
-    /// Size of the reusable per-event/per-batch scratch currently allocated
-    /// (an opaque grow-only figure). Constant across match calls once the
-    /// engine has warmed up.
-    pub fn scratch_capacity(&self) -> usize {
-        self.scratch.capacity() + self.probe.capacity_bytes()
-    }
-
-    /// Number of times the per-event scratch had to grow since construction.
-    pub fn scratch_grows(&self) -> u64 {
-        self.scratch.grows
+    /// Creates an empty engine with the given configuration.
+    pub fn with_config(config: EngineConfig) -> Self {
+        Self {
+            config,
+            ..Self::default()
+        }
     }
 
     /// Point-in-time memory footprint of the DAG (see [`AtreeMemory`]).
@@ -600,14 +541,14 @@ impl ATreeEngine {
         }
     }
 
-    /// The per-event core shared by the batch and single-event paths.
+    /// The per-event core shared by both probe front ends of `match_batch`.
     ///
     /// `feed` delivers the event's fulfilled leaf nodes (from the probe
     /// plan's CSR slice or a live index probe); the core then sweeps the
     /// scheduled interior nodes bottom-up in level order, memoizing each
     /// shared node's value once, and emits the id-sorted matches.
     #[allow(clippy::too_many_arguments)] // engine fields passed piecewise, as in the counting engine
-    fn match_event_core(
+    fn sweep_event(
         nodes: &[Option<DagNode>],
         empty_vals: &[bool],
         levels: &[u32],
@@ -817,7 +758,6 @@ impl MatchingEngine for ATreeEngine {
                 max_level,
                 default_true_roots,
                 index,
-                prefilter,
                 probe,
                 scratch,
                 stats,
@@ -827,12 +767,10 @@ impl MatchingEngine for ATreeEngine {
                 // Batch path: probe the whole batch attribute-group by
                 // attribute-group, then run the DAG sweep per event over
                 // the plan's CSR slices.
-                let mut killed = 0u64;
-                probe.run(batch, index, prefilter, &mut killed);
-                stats.killed_by_prefilter += killed;
+                probe.run(batch, index, None);
                 for index_in_batch in 0..batch.len() {
                     let keys = probe.emitted(index_in_batch);
-                    Self::match_event_core(
+                    Self::sweep_event(
                         nodes,
                         empty_vals,
                         levels,
@@ -852,8 +790,13 @@ impl MatchingEngine for ATreeEngine {
                     }
                 }
             } else {
+                // A one-event batch probes the index directly, as in the
+                // counting engine: forcing one-event batches through
+                // `ProbePlan` cost the `line_single` perfbench workload
+                // 12.6% of its median `publish_eps`, so this front end
+                // stays.
                 for index_in_batch in 0..batch.len() {
-                    Self::match_event_core(
+                    Self::sweep_event(
                         nodes,
                         empty_vals,
                         levels,
@@ -884,44 +827,6 @@ impl MatchingEngine for ATreeEngine {
         self.stats.filter_time += start.elapsed();
     }
 
-    fn match_event_into(&mut self, event: &EventMessage, matches: &mut Vec<SubscriptionId>) {
-        let start = Instant::now();
-        self.index.ensure_built();
-        let scratch_capacity_before = self.scratch.capacity();
-
-        let Self {
-            nodes,
-            empty_vals,
-            levels,
-            max_level,
-            default_true_roots,
-            index,
-            scratch,
-            stats,
-            ..
-        } = self;
-        Self::match_event_core(
-            nodes,
-            empty_vals,
-            levels,
-            *max_level,
-            default_true_roots,
-            scratch,
-            stats,
-            |touch| {
-                index.fulfilled_pairs(event.iter_resolved(), |key| touch(key.slot.0));
-            },
-            matches,
-        );
-
-        if self.scratch.capacity() > scratch_capacity_before {
-            self.scratch.grows += 1;
-        }
-        self.stats.batches_filtered += 1;
-        self.stats.events_filtered += 1;
-        self.stats.filter_time += start.elapsed();
-    }
-
     fn len(&self) -> usize {
         self.subs.len()
     }
@@ -942,13 +847,43 @@ impl MatchingEngine for ATreeEngine {
             tree_bytes: self.memory().slab_bytes,
         }
     }
+
+    /// Iterates over the registered subscriptions in id order.
+    fn subscriptions(&self) -> Box<dyn Iterator<Item = &Subscription> + '_> {
+        Box::new(self.subs.values())
+    }
+
+    /// Only the `analyze` half has an effect here; the stage-0 pre-filter
+    /// mode is ignored (see the module docs).
+    fn config(&self) -> EngineConfig {
+        self.config
+    }
+
+    /// Affects subsequent insertions only.
+    fn set_config(&mut self, config: EngineConfig) {
+        self.config = config;
+    }
+
+    /// The A-Tree uses the hint only as the analyzer's selectivity oracle at
+    /// registration.
+    fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
+        self.hint = hint;
+    }
+
+    fn scratch_capacity(&self) -> usize {
+        self.scratch.capacity() + self.probe.capacity_bytes()
+    }
+
+    fn scratch_grows(&self) -> u64 {
+        self.scratch.grows
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{AnalyzeMode, CountingEngine, NaiveEngine, VecSink};
-    use pubsub_core::{Expr, SubscriberId};
+    use pubsub_core::{EventMessage, Expr, SubscriberId};
 
     fn sub(id: u64, expr: &Expr) -> Subscription {
         Subscription::from_expr(

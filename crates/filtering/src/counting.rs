@@ -5,7 +5,7 @@
 //!   provably cannot match (required attribute absent, or discrimination
 //!   equality key mismatched) are killed before any counting.
 //! * **Stage 1 — index probing**: fulfilled predicates are resolved through
-//!   the [`AttributeIndex`] — per event on the single-event path, per
+//!   the [`AttributeIndex`] — per event for one-event batches, per
 //!   *attribute group* across a whole batch via [`ProbePlan`].
 //! * **Stage 2 — counting/evaluation**: surviving fulfilled predicates are
 //!   counted per slot, and only subscriptions reaching their tree's `pmin`
@@ -19,9 +19,7 @@ use crate::index::{AttributeIndex, PredicateKey, SubSlot};
 use crate::prefilter::PreFilter;
 use crate::probe::ProbePlan;
 use crate::{EngineReport, FilterStats, MatchSink, MatchingEngine};
-use pubsub_core::{
-    AttrId, EventBatch, EventMessage, LeafMask, Subscription, SubscriptionId, Value,
-};
+use pubsub_core::{AttrId, EventBatch, LeafMask, Subscription, SubscriptionId, Value};
 use selectivity::DiscriminationHint;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -60,10 +58,10 @@ struct MatchScratch {
     match_buf: Vec<SubscriptionId>,
     /// Generation stamp per slot recording "killed by the stage-0 pre-filter
     /// for the current event", so the kill test runs once per touched slot on
-    /// the single-event path and later emissions take one branch.
+    /// the per-event probe and later emissions take one branch.
     dead_gen: Vec<u32>,
-    /// Stage-0 fingerprint keys of the event being matched (single-event
-    /// path; the batch path keeps per-event fingerprints in the probe plan).
+    /// Stage-0 fingerprint keys of the event being matched (per-event probe;
+    /// the staged batch path keeps per-event fingerprints in the probe plan).
     fp_keys: Vec<u32>,
     /// Number of times any scratch buffer had to grow (reallocate). Stable
     /// across calls in steady state; tests assert on it.
@@ -75,7 +73,7 @@ impl MatchScratch {
     /// buffers to cover `slots` entries.
     fn advance(&mut self, slots: usize) {
         if self.counts.len() < slots {
-            // Growth is accounted for centrally in `match_event_into` via the
+            // Growth is accounted for centrally in `match_batch` via the
             // before/after capacity comparison, not here, so one reallocation
             // is never counted twice.
             self.counts.resize(slots, 0);
@@ -197,36 +195,6 @@ impl CountingEngine {
         }
     }
 
-    /// The engine's staged-pipeline configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Replaces the staged-pipeline configuration. Takes effect at the next
-    /// match call; match output is unaffected (only the work done changes).
-    pub fn set_config(&mut self, config: EngineConfig) {
-        if self.config != config {
-            self.config = config;
-            self.prefilter_dirty = true;
-        }
-    }
-
-    /// Installs (or clears) the sampled discrimination hint that guides the
-    /// stage-0 pre-filter's choice of equality kill keys. Without a hint the
-    /// pre-filter falls back to local equality-index cardinalities.
-    pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
-        self.hint = hint;
-        self.prefilter_dirty = true;
-    }
-
-    /// Whether the stage-0 pre-filter is currently active (after resolving
-    /// [`PrefilterMode::Auto`](crate::PrefilterMode::Auto) against the
-    /// registered population).
-    pub fn prefilter_enabled(&mut self) -> bool {
-        self.refresh_prefilter();
-        self.prefilter.enabled()
-    }
-
     /// Recompiles the stage-0 pre-filter if the subscription set, the
     /// configuration, or the hint changed since the last match.
     fn refresh_prefilter(&mut self) {
@@ -252,32 +220,6 @@ impl CountingEngine {
             hint.as_ref(),
             config.prefilter,
         );
-    }
-
-    /// Iterates over the registered subscriptions in slot order.
-    pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
-        self.slots.iter().flatten().map(|entry| &entry.subscription)
-    }
-
-    /// Direct access to the underlying predicate index (read-only), mainly
-    /// for inspection in tests and benchmarks.
-    pub fn index(&self) -> &AttributeIndex {
-        &self.index
-    }
-
-    /// Size of the reusable scratch currently allocated for the per-event
-    /// and per-batch match state (per-slot elements plus batch-probe bytes;
-    /// an opaque grow-only figure). Constant across match calls once the
-    /// engine has warmed up (no subscriptions added in between).
-    pub fn scratch_capacity(&self) -> usize {
-        self.scratch.capacity() + self.probe.capacity_bytes()
-    }
-
-    /// Number of times the per-event scratch had to grow since construction.
-    /// In steady state (matching without re-registration) this counter does
-    /// not move; the regression tests assert exactly that.
-    pub fn scratch_grows(&self) -> u64 {
-        self.scratch.grows
     }
 
     fn alloc_slot(&mut self) -> u32 {
@@ -316,12 +258,12 @@ impl CountingEngine {
     /// Matches one event — given as a stream of resolved `(AttrId, &Value)`
     /// pairs — into `matches` (replacing its contents, id-sorted).
     ///
-    /// This is the per-event core of the single-event path (and of
-    /// single-event batches); it takes the engine's fields piecewise so a
-    /// caller loop can hold the borrows across events. The stage-0 kill is
-    /// applied inline: the event is fingerprinted once up front (hence the
-    /// `Clone` pairs), and each slot's kill verdict is memoised in a
-    /// generation-stamped array so it costs one branch after first touch.
+    /// This is the per-event probe `match_batch` runs for one-event batches;
+    /// it takes the engine's fields piecewise so the caller loop can hold the
+    /// borrows across events. The stage-0 kill is applied inline: the event
+    /// is fingerprinted once up front (hence the `Clone` pairs), and each
+    /// slot's kill verdict is memoised in a generation-stamped array so it
+    /// costs one branch after first touch.
     #[allow(clippy::too_many_arguments)] // engine fields passed piecewise, see above
     fn match_one<'a>(
         slots: &mut [Option<SlotEntry>],
@@ -597,9 +539,7 @@ impl MatchingEngine for CountingEngine {
                 // by attribute-group (stage 1, with the stage-0 kill applied
                 // at emission time), then run stage 2 per event over the
                 // plan's CSR slices.
-                let mut killed = 0u64;
-                probe.run(batch, index, prefilter, &mut killed);
-                stats.killed_by_prefilter += killed;
+                stats.killed_by_prefilter += probe.run(batch, index, Some(prefilter));
                 for index_in_batch in 0..batch.len() {
                     Self::match_keys(
                         slots,
@@ -614,10 +554,12 @@ impl MatchingEngine for CountingEngine {
                     }
                 }
             } else {
-                // One generation bump per event; every other piece of
-                // scratch — counters, stamps, touch list, leaf masks, match
-                // buffer — stays hot across the whole batch, so a warmed-up
-                // batch allocates nothing.
+                // A one-event batch takes the per-event probe instead: the
+                // plan's transpose and CSR sort cannot amortize over one
+                // event. Forcing it through `ProbePlan` lost every one of 10
+                // alternating 3 s `line_single` perfbench pairs, median
+                // `publish_eps` 48,645 → 42,496 events/s (−12.6%, parent
+                // IQR 1,782), so this front end stays.
                 for index_in_batch in 0..batch.len() {
                     Self::match_one(
                         slots,
@@ -645,40 +587,6 @@ impl MatchingEngine for CountingEngine {
         self.stats.filter_time += start.elapsed();
     }
 
-    fn match_event_into(&mut self, event: &EventMessage, matches: &mut Vec<SubscriptionId>) {
-        let start = Instant::now();
-        self.index.ensure_built();
-        self.refresh_prefilter();
-        let scratch_capacity_before = self.scratch.capacity();
-
-        let Self {
-            slots,
-            zero_pmin,
-            index,
-            scratch,
-            stats,
-            prefilter,
-            ..
-        } = self;
-        Self::match_one(
-            slots,
-            zero_pmin,
-            index,
-            scratch,
-            stats,
-            prefilter,
-            event.iter_resolved(),
-            matches,
-        );
-
-        if self.scratch.capacity() > scratch_capacity_before {
-            self.scratch.grows += 1;
-        }
-        self.stats.batches_filtered += 1;
-        self.stats.events_filtered += 1;
-        self.stats.filter_time += start.elapsed();
-    }
-
     fn len(&self) -> usize {
         self.id_to_slot.len()
     }
@@ -698,13 +606,52 @@ impl MatchingEngine for CountingEngine {
             tree_bytes: self.subscriptions().map(|s| s.tree().size_bytes()).sum(),
         }
     }
+
+    /// Iterates over the registered subscriptions in slot order.
+    fn subscriptions(&self) -> Box<dyn Iterator<Item = &Subscription> + '_> {
+        Box::new(self.slots.iter().flatten().map(|entry| &entry.subscription))
+    }
+
+    fn config(&self) -> EngineConfig {
+        self.config
+    }
+
+    fn set_config(&mut self, config: EngineConfig) {
+        if self.config != config {
+            self.config = config;
+            self.prefilter_dirty = true;
+        }
+    }
+
+    /// Without a hint the pre-filter falls back to local equality-index
+    /// cardinalities.
+    fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
+        self.hint = hint;
+        self.prefilter_dirty = true;
+    }
+
+    /// Resolves [`PrefilterMode::Auto`](crate::PrefilterMode::Auto) against
+    /// the registered population.
+    fn prefilter_enabled(&mut self) -> bool {
+        self.refresh_prefilter();
+        self.prefilter.enabled()
+    }
+
+    /// Per-slot elements plus batch-probe bytes.
+    fn scratch_capacity(&self) -> usize {
+        self.scratch.capacity() + self.probe.capacity_bytes()
+    }
+
+    fn scratch_grows(&self) -> u64 {
+        self.scratch.grows
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::NaiveEngine;
-    use pubsub_core::{Expr, SubscriberId};
+    use pubsub_core::{EventMessage, Expr, SubscriberId};
 
     fn sub(id: u64, expr: &Expr) -> Subscription {
         Subscription::from_expr(
@@ -880,18 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn match_event_into_reuses_the_buffer() {
-        let mut e = CountingEngine::new();
-        e.insert(sub(1, &Expr::eq("category", "books")));
-        let mut out = Vec::with_capacity(4);
-        e.match_event_into(&book_event("books", 1, 0), &mut out);
-        assert_eq!(out, vec![SubscriptionId::from_raw(1)]);
-        out.clear();
-        e.match_event_into(&book_event("music", 1, 0), &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn duplicate_predicates_within_one_subscription() {
         let mut e = CountingEngine::new();
         // The same predicate appears in both OR branches.
@@ -1011,20 +946,26 @@ mod tests {
                 ]),
             ));
         }
-        // Warm-up: one pass over a representative event set.
-        let events: Vec<EventMessage> = (0..40)
+        // Warm-up: one pass over a representative event set, one reused
+        // one-event batch at a time (the per-event probe).
+        let events: EventBatch = (0..40)
             .map(|i| book_event(if i % 2 == 0 { "books" } else { "music" }, i, i % 7))
             .collect();
-        for ev in &events {
-            e.match_event(ev);
-        }
+        let mut one = EventBatch::new();
+        let mut sink = crate::CountSink::new();
+        let mut pass = |e: &mut CountingEngine| {
+            for i in 0..events.len() {
+                one.clear();
+                one.push_from(&events, i);
+                e.match_batch(&one, &mut sink);
+            }
+        };
+        pass(&mut e);
         let grows = e.scratch_grows();
         let capacity = e.scratch_capacity();
         // Steady state: repeated matching must not grow any scratch buffer.
         for _ in 0..5 {
-            for ev in &events {
-                e.match_event(ev);
-            }
+            pass(&mut e);
         }
         assert_eq!(
             e.scratch_grows(),

@@ -1,7 +1,9 @@
 //! The common interface of all matching engines.
 
-use crate::{FilterStats, MatchSink, VecSink};
+use crate::{EngineConfig, FilterStats, MatchSink, VecSink};
 use pubsub_core::{EventBatch, EventMessage, Subscription, SubscriptionId};
+use selectivity::DiscriminationHint;
+use std::fmt;
 
 /// A point-in-time summary of an engine's contents, used by the memory
 /// experiments (Figures 1(c) and 1(f) of the paper).
@@ -40,19 +42,16 @@ impl EngineReport {
 
 /// A filtering engine: stores subscriptions and matches events against them.
 ///
-/// The API is **batch-first**: [`match_batch`](Self::match_batch) is the
-/// primary entry point — it drives a whole [`EventBatch`] through the engine
-/// and streams every `(event index, subscription)` match into a
-/// [`MatchSink`]. The single-event methods
-/// [`match_event`](Self::match_event) /
-/// [`match_event_into`](Self::match_event_into) are provided as thin
-/// wrappers over a one-event batch so that existing callers keep working;
-/// engines with a cheap dedicated single-event path may override them.
+/// The API is **batch-first**: [`match_batch`](Self::match_batch) is the one
+/// way to match — it drives a whole [`EventBatch`] through the engine and
+/// streams every `(event index, subscription)` match into a [`MatchSink`].
+/// [`match_event`](Self::match_event) is a convenience wrapper over a
+/// one-event batch for tests and tools; engines never override it.
 ///
 /// Implementations must be deterministic: matching the same events against
 /// the same set of subscriptions always yields the same matches, with each
 /// event's matches emitted sorted by subscription id.
-pub trait MatchingEngine {
+pub trait MatchingEngine: fmt::Debug {
     /// Registers a subscription, replacing any existing subscription with the
     /// same id.
     fn insert(&mut self, subscription: Subscription);
@@ -69,36 +68,20 @@ pub trait MatchingEngine {
     /// [`MatchSink::on_match`] once per match, with event indexes
     /// non-decreasing and each event's matches sorted by subscription id.
     /// Engines keep their per-event scratch hot across the whole batch, so
-    /// driving one large batch is strictly cheaper than looping
-    /// [`match_event`](Self::match_event).
+    /// driving one large batch is strictly cheaper than many small ones.
     fn match_batch(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink);
 
     /// Matches a single event, returning the ids of all fulfilled
     /// subscriptions sorted by id.
     ///
-    /// Compatibility wrapper over a one-event batch; prefer
-    /// [`match_batch`](Self::match_batch) on hot paths.
+    /// Wrapper over a one-event batch: it clones the event and allocates the
+    /// result, so hot paths drive [`match_batch`](Self::match_batch) with a
+    /// reused batch instead.
     fn match_event(&mut self, event: &EventMessage) -> Vec<SubscriptionId> {
-        // Small initial capacity: most events match few subscriptions, and
-        // the vector grows geometrically for the rest.
-        let mut matches = Vec::with_capacity(8);
-        self.match_event_into(event, &mut matches);
-        matches
-    }
-
-    /// Matches a single event into a caller-provided buffer, *replacing* its
-    /// contents.
-    ///
-    /// Callers that keep one buffer alive across events avoid the result
-    /// allocation; the batch construction of this default wrapper still
-    /// clones the event, so engines with allocation-free single-event
-    /// internals override it.
-    fn match_event_into(&mut self, event: &EventMessage, matches: &mut Vec<SubscriptionId>) {
         let batch = EventBatch::builder().event(event.clone()).build();
         let mut sink = VecSink::new();
         self.match_batch(&batch, &mut sink);
-        matches.clear();
-        matches.extend(sink.matches().iter().map(|&(_, id)| id));
+        sink.into_matches().into_iter().map(|(_, id)| id).collect()
     }
 
     /// Number of registered subscriptions.
@@ -109,6 +92,10 @@ pub trait MatchingEngine {
         self.len() == 0
     }
 
+    /// Iterates over the registered subscriptions in an engine-specific
+    /// order; callers that need a canonical order sort by id.
+    fn subscriptions(&self) -> Box<dyn Iterator<Item = &Subscription> + '_>;
+
     /// Cumulative filtering statistics since construction (or the last
     /// [`reset_stats`](Self::reset_stats)).
     fn stats(&self) -> &FilterStats;
@@ -118,6 +105,40 @@ pub trait MatchingEngine {
 
     /// A point-in-time summary of the engine contents.
     fn report(&self) -> EngineReport;
+
+    /// The pipeline configuration the engine runs with.
+    fn config(&self) -> EngineConfig;
+
+    /// Replaces the pipeline configuration. Takes effect at the next insert
+    /// or match call; match output is unaffected (only the work done
+    /// changes).
+    fn set_config(&mut self, config: EngineConfig);
+
+    /// Installs (or clears) the sampled discrimination hint that steers the
+    /// stage-0 pre-filter's key choice and the registration-time analyzer.
+    /// Engines that use neither ignore it.
+    fn set_discrimination_hint(&mut self, _hint: Option<DiscriminationHint>) {}
+
+    /// Whether the stage-0 pre-filter is active for the current
+    /// configuration and subscription population. `false` for engines
+    /// without one.
+    fn prefilter_enabled(&mut self) -> bool {
+        false
+    }
+
+    /// Size of the reusable match scratch currently allocated (an opaque
+    /// grow-only figure). Constant across match calls once the engine has
+    /// warmed up; `0` for engines that keep no scratch.
+    fn scratch_capacity(&self) -> usize {
+        0
+    }
+
+    /// Number of times the match scratch had to grow since construction.
+    /// Does not move in steady state; the regression tests assert exactly
+    /// that.
+    fn scratch_grows(&self) -> u64 {
+        0
+    }
 }
 
 #[cfg(test)]

@@ -24,13 +24,14 @@
 //!   output is byte-identical to the single-shard engine while the matching
 //!   work scales with the available cores. Generic over the per-shard engine
 //!   ([`CountingEngine`] by default, [`ATreeEngine`] optionally);
-//!   [`EngineKind`] / [`AnyEngine`] let components pick an engine at
-//!   configuration time.
+//!   [`EngineKind::build_with_config`] returns any of them as an
+//!   [`AnyEngine`] (a boxed [`MatchingEngine`]), so components pick an
+//!   engine at configuration time.
 //! * [`NaiveEngine`] — a brute-force baseline that evaluates every
 //!   subscription tree against every event. Used for differential testing and
 //!   as the unindexed baseline in benchmarks.
 //!
-//! Both engines expose the *predicate/subscription association count*, the
+//! Every engine exposes the *predicate/subscription association count*, the
 //! memory metric reported in the paper's Figures 1(c) and 1(f).
 //!
 //! ## Batch-first matching
@@ -40,9 +41,11 @@
 //! streams every `(event index, subscription)` match into a [`MatchSink`]
 //! ([`VecSink`], [`CountSink`], and [`PerEventSink`] are provided). The
 //! counting engine keeps its generation-stamped scratch hot across the
-//! batch, so steady-state batch matching performs no allocation at all. The
-//! single-event methods remain as thin wrappers for callers that genuinely
-//! have one event in hand.
+//! batch, so steady-state batch matching performs no allocation at all.
+//! [`MatchingEngine::match_event`] is a wrapper over a one-event batch for
+//! tests and tools; every other engine method (configuration, hints,
+//! subscription listing, scratch gauges) is on the trait too, so there is
+//! one way into every engine.
 //!
 //! ```
 //! use filtering::{CountingEngine, MatchingEngine, PerEventSink};
@@ -94,7 +97,7 @@ pub use index::{AttributeIndex, PredicateKey, SubSlot};
 pub use naive::NaiveEngine;
 pub use prefilter::PreFilter;
 pub use probe::ProbePlan;
-pub use sharded::{AnyEngine, EngineKind, ShardEngine, ShardedEngine};
+pub use sharded::{AnyEngine, EngineKind, ShardedEngine};
 pub use sink::{CountSink, MatchSink, PerEventSink, VecSink};
 pub use stats::FilterStats;
 

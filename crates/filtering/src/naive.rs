@@ -1,7 +1,7 @@
 //! Brute-force baseline matcher.
 
 use crate::{EngineConfig, EngineReport, FilterStats, MatchSink, MatchingEngine};
-use pubsub_core::{EventBatch, EventMessage, Subscription, SubscriptionId};
+use pubsub_core::{EventBatch, Subscription, SubscriptionId};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -40,22 +40,6 @@ impl NaiveEngine {
             config,
             ..Self::default()
         }
-    }
-
-    /// The pipeline configuration this engine carries (and ignores).
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Replaces the carried pipeline configuration. Has no effect on
-    /// matching: the naive engine evaluates every tree unconditionally.
-    pub fn set_config(&mut self, config: EngineConfig) {
-        self.config = config;
-    }
-
-    /// Iterates over the registered subscriptions in id order.
-    pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
-        self.subscriptions.values()
     }
 }
 
@@ -99,29 +83,6 @@ impl MatchingEngine for NaiveEngine {
         self.stats.filter_time += start.elapsed();
     }
 
-    fn match_event(&mut self, event: &EventMessage) -> Vec<SubscriptionId> {
-        // Dedicated single-event path: same evaluation loop as `match_batch`
-        // without the batch construction the default wrapper would pay.
-        let start = Instant::now();
-        let mut matches = Vec::new();
-        for (id, sub) in &self.subscriptions {
-            self.stats.trees_evaluated += 1;
-            if sub.matches(event) {
-                matches.push(*id);
-            }
-        }
-        self.stats.batches_filtered += 1;
-        self.stats.events_filtered += 1;
-        self.stats.matches += matches.len() as u64;
-        self.stats.filter_time += start.elapsed();
-        matches
-    }
-
-    fn match_event_into(&mut self, event: &EventMessage, matches: &mut Vec<SubscriptionId>) {
-        matches.clear();
-        matches.append(&mut self.match_event(event));
-    }
-
     fn len(&self) -> usize {
         self.subscriptions.len()
     }
@@ -149,12 +110,29 @@ impl MatchingEngine for NaiveEngine {
                 .sum(),
         }
     }
+
+    /// Iterates over the registered subscriptions in id order.
+    fn subscriptions(&self) -> Box<dyn Iterator<Item = &Subscription> + '_> {
+        Box::new(self.subscriptions.values())
+    }
+
+    /// The carried configuration; only `analyze` is honored (see
+    /// [`with_config`](NaiveEngine::with_config)).
+    fn config(&self) -> EngineConfig {
+        self.config
+    }
+
+    /// Affects subsequent insertions only: the naive engine evaluates every
+    /// tree unconditionally.
+    fn set_config(&mut self, config: EngineConfig) {
+        self.config = config;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pubsub_core::{Expr, SubscriberId};
+    use pubsub_core::{EventMessage, Expr, SubscriberId};
 
     fn sub(id: u64, expr: &Expr) -> Subscription {
         Subscription::from_expr(

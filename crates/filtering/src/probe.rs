@@ -67,16 +67,15 @@ impl ProbePlan {
     }
 
     /// Probes the whole batch, leaving each event's fulfilled predicate keys
-    /// readable via [`emitted`](Self::emitted). Requires the index's interval
-    /// mirrors to be built (`AttributeIndex::ensure_built`). Every emission
-    /// suppressed by the pre-filter increments `killed`.
+    /// readable via [`emitted`](Self::emitted), and returns the number of
+    /// emissions the stage-0 `prefilter` (if any) suppressed. Requires the
+    /// index's interval mirrors to be built (`AttributeIndex::ensure_built`).
     pub(crate) fn run(
         &mut self,
         batch: &EventBatch,
         index: &AttributeIndex,
-        prefilter: &PreFilter,
-        killed: &mut u64,
-    ) {
+        prefilter: Option<&PreFilter>,
+    ) -> u64 {
         let Self {
             groups,
             masks,
@@ -89,8 +88,9 @@ impl ProbePlan {
             offsets,
         } = self;
         let n = batch.len();
-        let pf_on = prefilter.enabled();
-        let tracked = prefilter.tracked_attributes();
+        let prefilter = prefilter.filter(|p| p.enabled());
+        let tracked = prefilter.map_or(0, PreFilter::tracked_attributes);
+        let mut killed = 0u64;
 
         groups.group(batch);
 
@@ -98,7 +98,7 @@ impl ProbePlan {
         // even though its emissions are scattered across attribute groups.
         masks.clear();
         keys.clear();
-        if pf_on {
+        if let Some(prefilter) = prefilter {
             for i in 0..n {
                 masks.push(prefilter.fingerprint(batch.resolved(i), fp_scratch));
                 keys.extend_from_slice(fp_scratch);
@@ -135,14 +135,14 @@ impl ProbePlan {
                         let slot = k.slot.index();
                         for &oi in run {
                             let ev = entries[oi as usize].0;
-                            if pf_on
-                                && prefilter.kills(
+                            if prefilter.is_some_and(|p| {
+                                p.kills(
                                     slot,
                                     masks[ev as usize],
                                     &keys[ev as usize * tracked..(ev as usize + 1) * tracked],
                                 )
-                            {
-                                *killed += 1;
+                            }) {
+                                killed += 1;
                             } else {
                                 emissions.push((ev, k));
                             }
@@ -209,6 +209,7 @@ impl ProbePlan {
             sorted[*cursor as usize] = k;
             *cursor += 1;
         }
+        killed
     }
 
     /// The fulfilled predicate keys of event `i` from the last
@@ -306,9 +307,7 @@ mod tests {
 
         let mut plan = ProbePlan::new();
         let prefilter = PreFilter::new();
-        let mut killed = 0u64;
-        plan.run(&batch, &idx, &prefilter, &mut killed);
-        assert_eq!(killed, 0);
+        assert_eq!(plan.run(&batch, &idx, Some(&prefilter)), 0);
 
         for (i, ev) in events.iter().enumerate() {
             let mut expected = idx.fulfilled_keys(ev);
@@ -333,8 +332,7 @@ mod tests {
         batch.push(EventMessage::builder().attr("probe_num", 3i64).build());
         batch.push(EventMessage::builder().attr("probe_num", 3.0f64).build());
         let mut plan = ProbePlan::new();
-        let mut killed = 0u64;
-        plan.run(&batch, &idx, &PreFilter::new(), &mut killed);
+        plan.run(&batch, &idx, None);
         assert_eq!(plan.emitted(0), &[key(0, 0)]);
         assert_eq!(plan.emitted(1), &[key(0, 0)]);
     }
@@ -349,15 +347,13 @@ mod tests {
         idx.ensure_built();
         let batch = EventBatch::new();
         let mut plan = ProbePlan::new();
-        let mut killed = 0u64;
-        plan.run(&batch, &idx, &PreFilter::new(), &mut killed);
-        assert_eq!(killed, 0);
+        assert_eq!(plan.run(&batch, &idx, None), 0);
 
         // An event with no attributes emits nothing but still owns a slice.
         let mut batch = EventBatch::new();
         batch.push(EventMessage::builder().build());
         batch.push(event(4, "books"));
-        plan.run(&batch, &idx, &PreFilter::new(), &mut killed);
+        plan.run(&batch, &idx, None);
         assert!(plan.emitted(0).is_empty());
         assert_eq!(plan.emitted(1), &[key(0, 0)]);
     }

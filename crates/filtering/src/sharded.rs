@@ -2,7 +2,7 @@
 //! cores.
 //!
 //! [`ShardedEngine`] partitions the registered subscriptions over N shards
-//! of any [`ShardEngine`] — [`CountingEngine`] by default, [`ATreeEngine`]
+//! of any [`MatchingEngine`] — [`CountingEngine`] by default, [`ATreeEngine`]
 //! optionally. Each shard owns its own dense sub-slab,
 //! [`AttributeIndex`](crate::AttributeIndex), and generation-stamped scratch,
 //! so matching a batch fans out with **zero shared mutable state**: every
@@ -29,8 +29,9 @@ use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// Batches at or below this size are matched inline on the calling thread —
-/// the work cannot amortize a thread spawn. The single-event compatibility
-/// wrappers (one-event batches) always take this path.
+/// the work cannot amortize a thread spawn. One-event batches (every
+/// `Simulation::publish_at` frame, and [`MatchingEngine::match_event`])
+/// always take this path.
 const SEQUENTIAL_BATCH_MAX: usize = 4;
 
 /// Which matching engine a component should construct.
@@ -55,293 +56,47 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Builds an empty engine of this kind.
-    pub fn build(self) -> AnyEngine {
-        self.build_with_capacity(0)
-    }
-
-    /// Builds an empty engine of this kind with capacity for roughly `n`
-    /// subscriptions.
-    pub fn build_with_capacity(self, n: usize) -> AnyEngine {
-        self.build_with_config_and_capacity(EngineConfig::default(), n)
-    }
-
     /// Builds an empty engine of this kind with the given pipeline
     /// configuration.
     pub fn build_with_config(self, config: EngineConfig) -> AnyEngine {
-        self.build_with_config_and_capacity(config, 0)
-    }
-
-    /// Builds an empty engine of this kind with the given pipeline
-    /// configuration and capacity for roughly `n` subscriptions.
-    pub fn build_with_config_and_capacity(self, config: EngineConfig, n: usize) -> AnyEngine {
         match self {
-            EngineKind::Counting => {
-                AnyEngine::Counting(CountingEngine::with_config_and_capacity(config, n))
-            }
-            EngineKind::Sharded(shards) => {
-                let shards = if shards == 0 {
-                    default_shards()
-                } else {
-                    shards
-                };
-                AnyEngine::Sharded(ShardedEngine::with_config_shards_and_capacity(
-                    config, shards, n,
-                ))
-            }
-            EngineKind::ATree => AnyEngine::ATree(ATreeEngine::with_config_and_capacity(config, n)),
+            EngineKind::Counting => Box::new(CountingEngine::with_config(config)),
+            EngineKind::Sharded(shards) => Box::new(
+                ShardedEngine::with_config_shards_and_capacity(config, resolve_shards(shards), 0),
+            ),
+            EngineKind::ATree => Box::new(ATreeEngine::with_config(config)),
             EngineKind::ShardedATree(shards) => {
-                let shards = if shards == 0 {
-                    default_shards()
-                } else {
-                    shards
-                };
-                AnyEngine::ShardedATree(ShardedEngine::with_shard_engine(config, shards, n))
+                Box::new(ShardedEngine::from_shard_fn(resolve_shards(shards), || {
+                    ATreeEngine::with_config(config)
+                }))
             }
         }
     }
 }
 
-/// The host's available parallelism (1 if it cannot be determined).
-fn default_shards() -> usize {
+/// `shards`, or for `0` the host's available parallelism (1 if it cannot be
+/// determined).
+fn resolve_shards(shards: usize) -> usize {
+    if shards > 0 {
+        return shards;
+    }
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// A [`MatchingEngine`] built from an [`EngineKind`]: a [`CountingEngine`],
-/// an [`ATreeEngine`], or a [`ShardedEngine`] over either, with the non-trait
-/// accessors (subscription iteration) available on every arm.
-// All variants are large engine structs, and the enum is held once per
-// routing-table destination — never in bulk arrays — so the per-value
-// footprint difference does not matter and boxing would only add an
-// indirection to every dispatch.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum AnyEngine {
-    /// The single-threaded counting engine.
-    Counting(CountingEngine),
-    /// The sharded parallel engine over counting shards.
-    Sharded(ShardedEngine),
-    /// The single-threaded shared-subexpression engine.
-    ATree(ATreeEngine),
-    /// The sharded parallel engine over A-Tree shards.
-    ShardedATree(ShardedEngine<ATreeEngine>),
-}
+/// A [`MatchingEngine`] built from an [`EngineKind`]. Every engine method is
+/// on the trait, so callers hold any kind behind one box and pay one
+/// indirect call per engine call.
+pub type AnyEngine = Box<dyn MatchingEngine + Send>;
 
 impl Default for AnyEngine {
     fn default() -> Self {
-        EngineKind::default().build()
+        EngineKind::default().build_with_config(EngineConfig::default())
     }
 }
 
-macro_rules! delegate {
-    ($self:ident, $e:ident => $body:expr) => {
-        match $self {
-            AnyEngine::Counting($e) => $body,
-            AnyEngine::Sharded($e) => $body,
-            AnyEngine::ATree($e) => $body,
-            AnyEngine::ShardedATree($e) => $body,
-        }
-    };
-}
-
-impl AnyEngine {
-    /// The kind this engine was built as.
-    pub fn kind(&self) -> EngineKind {
-        match self {
-            AnyEngine::Counting(_) => EngineKind::Counting,
-            AnyEngine::Sharded(e) => EngineKind::Sharded(e.shard_count()),
-            AnyEngine::ATree(_) => EngineKind::ATree,
-            AnyEngine::ShardedATree(e) => EngineKind::ShardedATree(e.shard_count()),
-        }
-    }
-
-    /// Iterates over the registered subscriptions (shard-major for the
-    /// sharded arms; callers that need a canonical order sort by id).
-    pub fn subscriptions(&self) -> Box<dyn Iterator<Item = &Subscription> + '_> {
-        match self {
-            AnyEngine::Counting(e) => Box::new(e.subscriptions()),
-            AnyEngine::Sharded(e) => Box::new(e.subscriptions()),
-            AnyEngine::ATree(e) => Box::new(e.subscriptions()),
-            AnyEngine::ShardedATree(e) => Box::new(e.subscriptions()),
-        }
-    }
-
-    /// The pipeline configuration the engine is running with.
-    pub fn config(&self) -> EngineConfig {
-        delegate!(self, e => e.config())
-    }
-
-    /// Replaces the pipeline configuration (applied to every shard on the
-    /// sharded arm).
-    pub fn set_config(&mut self, config: EngineConfig) {
-        delegate!(self, e => e.set_config(config))
-    }
-
-    /// Installs (or clears) the selectivity hint that steers stage-0
-    /// discrimination-attribute choice.
-    pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
-        delegate!(self, e => e.set_discrimination_hint(hint))
-    }
-
-    /// Whether the stage-0 pre-filter is active for the current
-    /// configuration and subscription population (any shard, for the
-    /// sharded arm).
-    pub fn prefilter_enabled(&mut self) -> bool {
-        delegate!(self, e => e.prefilter_enabled())
-    }
-}
-
-impl MatchingEngine for AnyEngine {
-    fn insert(&mut self, subscription: Subscription) {
-        delegate!(self, e => e.insert(subscription))
-    }
-
-    fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {
-        delegate!(self, e => e.remove(id))
-    }
-
-    fn get(&self, id: SubscriptionId) -> Option<&Subscription> {
-        delegate!(self, e => e.get(id))
-    }
-
-    fn match_batch(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink) {
-        delegate!(self, e => e.match_batch(batch, sink))
-    }
-
-    fn match_event_into(
-        &mut self,
-        event: &pubsub_core::EventMessage,
-        matches: &mut Vec<SubscriptionId>,
-    ) {
-        delegate!(self, e => e.match_event_into(event, matches))
-    }
-
-    fn len(&self) -> usize {
-        delegate!(self, e => e.len())
-    }
-
-    fn stats(&self) -> &FilterStats {
-        delegate!(self, e => e.stats())
-    }
-
-    fn reset_stats(&mut self) {
-        delegate!(self, e => e.reset_stats())
-    }
-
-    fn report(&self) -> EngineReport {
-        delegate!(self, e => e.report())
-    }
-}
-
-/// The per-shard engine interface [`ShardedEngine`] is generic over.
-///
-/// A shard engine is a full [`MatchingEngine`] that can additionally be
-/// constructed from an [`EngineConfig`], reconfigured in place, and observed
-/// for scratch reuse. [`CountingEngine`] (the default shard) and
-/// [`ATreeEngine`] implement it; the trait is what lets one fan-out/merge
-/// implementation serve both.
-pub trait ShardEngine: MatchingEngine + Send {
-    /// Creates an empty shard with the given pipeline configuration and
-    /// capacity for roughly `n` subscriptions.
-    fn shard_new(config: EngineConfig, n: usize) -> Self
-    where
-        Self: Sized;
-
-    /// The pipeline configuration the shard runs with.
-    fn config(&self) -> EngineConfig;
-
-    /// Replaces the pipeline configuration.
-    fn set_config(&mut self, config: EngineConfig);
-
-    /// Installs (or clears) the selectivity hint that steers stage-0
-    /// discrimination-attribute choice.
-    fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>);
-
-    /// Whether the stage-0 pre-filter is active for the current
-    /// configuration and subscription population.
-    fn prefilter_enabled(&mut self) -> bool;
-
-    /// Reusable scratch currently allocated by the shard, in bytes.
-    fn scratch_capacity(&self) -> usize;
-
-    /// Number of times the shard's scratch had to grow since construction.
-    fn scratch_grows(&self) -> u64;
-
-    /// Iterates over the subscriptions registered on this shard.
-    fn subscriptions(&self) -> impl Iterator<Item = &Subscription> + '_;
-}
-
-impl ShardEngine for CountingEngine {
-    fn shard_new(config: EngineConfig, n: usize) -> Self {
-        CountingEngine::with_config_and_capacity(config, n)
-    }
-
-    fn config(&self) -> EngineConfig {
-        CountingEngine::config(self)
-    }
-
-    fn set_config(&mut self, config: EngineConfig) {
-        CountingEngine::set_config(self, config);
-    }
-
-    fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
-        CountingEngine::set_discrimination_hint(self, hint);
-    }
-
-    fn prefilter_enabled(&mut self) -> bool {
-        CountingEngine::prefilter_enabled(self)
-    }
-
-    fn scratch_capacity(&self) -> usize {
-        CountingEngine::scratch_capacity(self)
-    }
-
-    fn scratch_grows(&self) -> u64 {
-        CountingEngine::scratch_grows(self)
-    }
-
-    fn subscriptions(&self) -> impl Iterator<Item = &Subscription> + '_ {
-        CountingEngine::subscriptions(self)
-    }
-}
-
-impl ShardEngine for ATreeEngine {
-    fn shard_new(config: EngineConfig, n: usize) -> Self {
-        ATreeEngine::with_config_and_capacity(config, n)
-    }
-
-    fn config(&self) -> EngineConfig {
-        ATreeEngine::config(self)
-    }
-
-    fn set_config(&mut self, config: EngineConfig) {
-        ATreeEngine::set_config(self, config);
-    }
-
-    fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
-        ATreeEngine::set_discrimination_hint(self, hint);
-    }
-
-    fn prefilter_enabled(&mut self) -> bool {
-        ATreeEngine::prefilter_enabled(self)
-    }
-
-    fn scratch_capacity(&self) -> usize {
-        ATreeEngine::scratch_capacity(self)
-    }
-
-    fn scratch_grows(&self) -> u64 {
-        ATreeEngine::scratch_grows(self)
-    }
-
-    fn subscriptions(&self) -> impl Iterator<Item = &Subscription> + '_ {
-        ATreeEngine::subscriptions(self)
-    }
-}
-
-/// The parallel matching engine: N shards of a [`ShardEngine`]
+/// The parallel matching engine: N shards of a [`MatchingEngine`]
 /// ([`CountingEngine`] by default), one batch fan-out per
 /// [`match_batch`](MatchingEngine::match_batch) call, and a deterministic
 /// id-sorted merge.
@@ -361,36 +116,20 @@ impl ShardEngine for ATreeEngine {
 /// shard engine holding the union would emit. The differential test suite
 /// pins this for 1, 2, and 4 shards, including churn between batches.
 #[derive(Debug)]
-pub struct ShardedEngine<E: ShardEngine = CountingEngine> {
+pub struct ShardedEngine<E: MatchingEngine + Send = CountingEngine> {
     shards: Vec<E>,
     /// Per-shard sink buffers the workers emit into; reused across batches.
     shard_sinks: Vec<VecSink>,
     /// Owning shard of each registered subscription.
     owner: HashMap<SubscriptionId, u32>,
-    /// Reusable buffer for the single-event path (`match_event_into`), so
-    /// per-event matching through a sharded engine stays allocation-free in
-    /// steady state like the counting engine's.
-    event_scratch: Vec<SubscriptionId>,
     stats: FilterStats,
 }
 
-impl Default for ShardedEngine {
-    /// A sharded engine with one shard per available core.
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 // Constructors on the default (counting-sharded) engine. These live in a
-// non-generic impl block so existing call sites like
-// `ShardedEngine::with_shards(4)` keep inferring `<CountingEngine>`; type
-// parameter defaults do not participate in expression inference.
+// non-generic impl block so call sites like `ShardedEngine::with_shards(4)`
+// infer `<CountingEngine>`; type parameter defaults do not participate in
+// expression inference.
 impl ShardedEngine {
-    /// Creates an engine with one shard per available core.
-    pub fn new() -> Self {
-        Self::with_shards(default_shards())
-    }
-
     /// Creates an engine with exactly `shards` shards (clamped to at least
     /// one).
     pub fn with_shards(shards: usize) -> Self {
@@ -403,67 +142,31 @@ impl ShardedEngine {
         Self::with_config_shards_and_capacity(EngineConfig::default(), shards, n)
     }
 
-    /// Creates an engine with one shard per available core, every shard
-    /// running the given pipeline configuration.
-    pub fn with_config(config: EngineConfig) -> Self {
-        Self::with_config_shards_and_capacity(config, default_shards(), 0)
-    }
-
     /// Creates an engine with `shards` shards (clamped to at least one) and
     /// capacity for roughly `n` subscriptions in total, every shard running
     /// the given pipeline configuration.
     pub fn with_config_shards_and_capacity(config: EngineConfig, shards: usize, n: usize) -> Self {
-        Self::with_shard_engine(config, shards, n)
+        let per_shard = n / shards.max(1);
+        let mut engine = Self::from_shard_fn(shards, || {
+            CountingEngine::with_config_and_capacity(config, per_shard)
+        });
+        engine.owner.reserve(n);
+        engine
     }
 }
 
-impl<E: ShardEngine> ShardedEngine<E> {
-    /// Creates an engine with `shards` shards (clamped to at least one) of
-    /// the chosen [`ShardEngine`] and capacity for roughly `n` subscriptions
-    /// in total. The generic counterpart of
-    /// [`with_config_shards_and_capacity`](ShardedEngine::with_config_shards_and_capacity);
-    /// name the shard type at the call site:
-    /// `ShardedEngine::<ATreeEngine>::with_shard_engine(..)`.
-    pub fn with_shard_engine(config: EngineConfig, shards: usize, n: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = n / shards;
+impl<E: MatchingEngine + Send> ShardedEngine<E> {
+    /// Creates an engine with `shards` shards (clamped to at least one), each
+    /// built by `shard` — e.g.
+    /// `ShardedEngine::from_shard_fn(4, || ATreeEngine::with_config(config))`.
+    pub fn from_shard_fn(shards: usize, shard: impl FnMut() -> E) -> Self {
+        let shards: Vec<E> = std::iter::repeat_with(shard).take(shards.max(1)).collect();
         Self {
-            shards: (0..shards)
-                .map(|_| E::shard_new(config, per_shard))
-                .collect(),
-            shard_sinks: (0..shards).map(|_| VecSink::new()).collect(),
-            owner: HashMap::with_capacity(n),
-            event_scratch: Vec::new(),
+            shard_sinks: shards.iter().map(|_| VecSink::new()).collect(),
+            shards,
+            owner: HashMap::new(),
             stats: FilterStats::new(),
         }
-    }
-
-    /// The pipeline configuration every shard runs with.
-    pub fn config(&self) -> EngineConfig {
-        self.shards[0].config()
-    }
-
-    /// Replaces the pipeline configuration on every shard.
-    pub fn set_config(&mut self, config: EngineConfig) {
-        for shard in &mut self.shards {
-            shard.set_config(config);
-        }
-    }
-
-    /// Installs (or clears) the selectivity hint on every shard. Each shard
-    /// keeps its own copy so workers stay free of shared state.
-    pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
-        for shard in &mut self.shards {
-            shard.set_discrimination_hint(hint.clone());
-        }
-    }
-
-    /// Whether the stage-0 pre-filter is active on any shard for the
-    /// current configuration and subscription population. Under
-    /// [`PrefilterMode::Auto`](crate::PrefilterMode::Auto) shards can
-    /// disagree — each gates on its own slot population.
-    pub fn prefilter_enabled(&mut self) -> bool {
-        self.shards.iter_mut().any(|s| s.prefilter_enabled())
     }
 
     /// Number of shards the subscription set is partitioned into.
@@ -476,39 +179,11 @@ impl<E: ShardEngine> ShardedEngine<E> {
         self.shards.iter().map(|s| s.len()).collect()
     }
 
-    /// Iterates over the registered subscriptions, shard-major (shard 0's
-    /// slot order first, then shard 1's, …).
-    pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
-        self.shards.iter().flat_map(|s| s.subscriptions())
-    }
-
-    /// Total reusable scratch currently allocated across all shards and the
-    /// per-shard merge sinks. Constant across `match_batch` calls once the
-    /// engine has warmed up.
-    pub fn scratch_capacity(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.scratch_capacity())
-            .sum::<usize>()
-            + self
-                .shard_sinks
-                .iter()
-                .map(VecSink::capacity)
-                .sum::<usize>()
-            + self.event_scratch.capacity()
-    }
-
     /// The reusable scratch currently allocated by each shard (engine
     /// scratch only, excluding the merge sinks). Steady-state matching keeps
     /// every entry constant; the regression tests assert exactly that.
     pub fn shard_scratch_capacities(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.scratch_capacity()).collect()
-    }
-
-    /// Total number of times any shard's scratch had to grow since
-    /// construction. Does not move in steady state.
-    pub fn scratch_grows(&self) -> u64 {
-        self.shards.iter().map(|s| s.scratch_grows()).sum()
     }
 
     /// The shard that owns the subscription with the given id, if it is
@@ -545,46 +220,21 @@ impl<E: ShardEngine> ShardedEngine<E> {
     /// sharded level (a shard-summed `filter_time` would count each core's
     /// time, not elapsed time).
     fn refresh_detail_stats(&mut self) {
-        let mut trees = 0;
-        let mut skipped = 0;
-        let mut fulfilled = 0;
-        let mut killed = 0;
-        let mut candidates = 0;
-        let mut simplified = 0;
-        let mut eliminated = 0;
-        let mut rejected = 0;
-        let mut dag_nodes = 0;
-        let mut shared = 0;
-        let mut saved = 0;
+        let mut detail = FilterStats::new();
         for shard in &self.shards {
-            let s = shard.stats();
-            trees += s.trees_evaluated;
-            skipped += s.skipped_by_pmin;
-            fulfilled += s.predicates_fulfilled;
-            killed += s.killed_by_prefilter;
-            candidates += s.stage2_candidates;
-            simplified += s.subs_simplified;
-            eliminated += s.nodes_eliminated;
-            rejected += s.unsatisfiable_rejected;
-            dag_nodes += s.dag_nodes;
-            shared += s.shared_subtrees;
-            saved += s.node_evals_saved;
+            detail.merge(shard.stats());
         }
-        self.stats.trees_evaluated = trees;
-        self.stats.skipped_by_pmin = skipped;
-        self.stats.predicates_fulfilled = fulfilled;
-        self.stats.killed_by_prefilter = killed;
-        self.stats.stage2_candidates = candidates;
-        self.stats.subs_simplified = simplified;
-        self.stats.nodes_eliminated = eliminated;
-        self.stats.unsatisfiable_rejected = rejected;
-        self.stats.dag_nodes = dag_nodes;
-        self.stats.shared_subtrees = shared;
-        self.stats.node_evals_saved = saved;
+        self.stats = FilterStats {
+            events_filtered: self.stats.events_filtered,
+            batches_filtered: self.stats.batches_filtered,
+            matches: self.stats.matches,
+            filter_time: self.stats.filter_time,
+            ..detail
+        };
     }
 }
 
-impl<E: ShardEngine> MatchingEngine for ShardedEngine<E> {
+impl<E: MatchingEngine + Send> MatchingEngine for ShardedEngine<E> {
     fn insert(&mut self, subscription: Subscription) {
         let id = subscription.id();
         let shard = match self.owner.get(&id) {
@@ -678,30 +328,6 @@ impl<E: ShardEngine> MatchingEngine for ShardedEngine<E> {
         self.refresh_detail_stats();
     }
 
-    fn match_event_into(
-        &mut self,
-        event: &pubsub_core::EventMessage,
-        matches: &mut Vec<SubscriptionId>,
-    ) {
-        let start = Instant::now();
-        matches.clear();
-        // Single events never pay the fan-out: each shard is matched inline
-        // through its own allocation-free single-event path into one reused
-        // buffer. The per-shard results are disjoint and id-sorted, so the
-        // concatenation only needs one final sort to reproduce the exact
-        // output of a single engine.
-        for shard in &mut self.shards {
-            shard.match_event_into(event, &mut self.event_scratch);
-            matches.extend_from_slice(&self.event_scratch);
-        }
-        matches.sort_unstable();
-        self.stats.batches_filtered += 1;
-        self.stats.events_filtered += 1;
-        self.stats.matches += matches.len() as u64;
-        self.stats.filter_time += start.elapsed();
-        self.refresh_detail_stats();
-    }
-
     fn len(&self) -> usize {
         self.owner.len()
     }
@@ -730,6 +356,57 @@ impl<E: ShardEngine> MatchingEngine for ShardedEngine<E> {
             report.tree_bytes += r.tree_bytes;
         }
         report
+    }
+
+    /// Iterates over the registered subscriptions, shard-major (shard 0's
+    /// order first, then shard 1's, …).
+    fn subscriptions(&self) -> Box<dyn Iterator<Item = &Subscription> + '_> {
+        Box::new(self.shards.iter().flat_map(|s| s.subscriptions()))
+    }
+
+    /// The pipeline configuration every shard runs with.
+    fn config(&self) -> EngineConfig {
+        self.shards[0].config()
+    }
+
+    /// Replaces the pipeline configuration on every shard.
+    fn set_config(&mut self, config: EngineConfig) {
+        for shard in &mut self.shards {
+            shard.set_config(config);
+        }
+    }
+
+    /// Each shard keeps its own copy of the hint so workers stay free of
+    /// shared state.
+    fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
+        for shard in &mut self.shards {
+            shard.set_discrimination_hint(hint.clone());
+        }
+    }
+
+    /// `true` if any shard's pre-filter is active: under
+    /// [`PrefilterMode::Auto`](crate::PrefilterMode::Auto) shards can
+    /// disagree — each gates on its own slot population.
+    fn prefilter_enabled(&mut self) -> bool {
+        self.shards.iter_mut().any(|s| s.prefilter_enabled())
+    }
+
+    /// Total across all shards and the per-shard merge sinks.
+    fn scratch_capacity(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.scratch_capacity())
+            .sum::<usize>()
+            + self
+                .shard_sinks
+                .iter()
+                .map(VecSink::capacity)
+                .sum::<usize>()
+    }
+
+    /// Total across all shards.
+    fn scratch_grows(&self) -> u64 {
+        self.shards.iter().map(|s| s.scratch_grows()).sum()
     }
 }
 
@@ -932,23 +609,30 @@ mod tests {
             sharded.insert(sub(i, &expr));
             counting.insert(sub(i, &expr));
         }
-        let events: Vec<EventMessage> = (0..10)
+        let events: EventBatch = (0..10)
             .map(|i| book_event(if i % 2 == 0 { "books" } else { "music" }, i))
             .collect();
-        let mut buf = Vec::new();
+        // One reused one-event batch at a time: the inline, spawn-free fork.
+        let mut one = EventBatch::new();
+        let mut sink = PerEventSink::new();
+        let mut pass = |sharded: &mut ShardedEngine, check: bool| {
+            for i in 0..events.len() {
+                one.clear();
+                one.push_from(&events, i);
+                sharded.match_batch(&one, &mut sink);
+                if check {
+                    assert_eq!(sink.for_event(0), counting.match_event(events.event(i)));
+                }
+            }
+        };
         // Warm-up pass sizes the reused buffers.
-        for event in &events {
-            sharded.match_event_into(event, &mut buf);
-            assert_eq!(buf, counting.match_event(event));
-        }
+        pass(&mut sharded, true);
         let capacity = sharded.scratch_capacity();
         let grows = sharded.scratch_grows();
         // Steady state: the per-event path grows nothing on any shard or in
-        // the engine's own event buffer.
+        // the merge sinks.
         for _ in 0..3 {
-            for event in &events {
-                sharded.match_event_into(event, &mut buf);
-            }
+            pass(&mut sharded, false);
         }
         assert_eq!(sharded.scratch_capacity(), capacity);
         assert_eq!(sharded.scratch_grows(), grows);
@@ -957,27 +641,24 @@ mod tests {
     #[test]
     fn engine_kind_builds_the_requested_engine() {
         assert_eq!(EngineKind::default(), EngineKind::Counting);
-        let engine = EngineKind::Counting.build();
-        assert!(matches!(engine, AnyEngine::Counting(_)));
-        assert_eq!(engine.kind(), EngineKind::Counting);
-        let engine = EngineKind::Sharded(3).build_with_capacity(100);
-        assert_eq!(engine.kind(), EngineKind::Sharded(3));
-        // Shard count 0 resolves to the host's parallelism (at least 1).
-        let engine = EngineKind::Sharded(0).build();
-        match engine.kind() {
-            EngineKind::Sharded(n) => assert!(n >= 1),
-            other => panic!("expected sharded, got {other:?}"),
-        }
-        let engine = EngineKind::ATree.build();
-        assert!(matches!(engine, AnyEngine::ATree(_)));
-        assert_eq!(engine.kind(), EngineKind::ATree);
-        let engine = EngineKind::ShardedATree(3).build_with_capacity(100);
-        assert!(matches!(engine, AnyEngine::ShardedATree(_)));
-        assert_eq!(engine.kind(), EngineKind::ShardedATree(3));
-        let engine = EngineKind::ShardedATree(0).build();
-        match engine.kind() {
-            EngineKind::ShardedATree(n) => assert!(n >= 1),
-            other => panic!("expected sharded atree, got {other:?}"),
+        let config = EngineConfig::default();
+        for (kind, name) in [
+            (EngineKind::Counting, "CountingEngine"),
+            (EngineKind::Sharded(3), "ShardedEngine"),
+            // Shard count 0 resolves to the host's parallelism (at least 1).
+            (EngineKind::Sharded(0), "ShardedEngine"),
+            (EngineKind::ATree, "ATreeEngine"),
+            (EngineKind::ShardedATree(3), "ShardedEngine"),
+            (EngineKind::ShardedATree(0), "ShardedEngine"),
+        ] {
+            let mut engine = kind.build_with_config(config);
+            assert!(format!("{engine:?}").starts_with(name), "{kind:?}");
+            engine.insert(sub(1, &Expr::eq("category", "books")));
+            assert_eq!(
+                engine.match_event(&book_event("books", 1)),
+                vec![SubscriptionId::from_raw(1)],
+                "{kind:?}"
+            );
         }
     }
 
@@ -1039,11 +720,7 @@ mod tests {
         reference.match_batch(&batch, &mut expected);
 
         for shards in [1usize, 2, 3, 8] {
-            let mut sharded = ShardedEngine::<crate::ATreeEngine>::with_shard_engine(
-                EngineConfig::default(),
-                shards,
-                0,
-            );
+            let mut sharded = ShardedEngine::from_shard_fn(shards, ATreeEngine::new);
             for (i, expr) in exprs.iter().enumerate() {
                 sharded.insert(sub(i as u64, expr));
             }
@@ -1065,7 +742,7 @@ mod tests {
 
     #[test]
     fn any_engine_delegates_the_full_engine_api() {
-        let mut engine = EngineKind::Sharded(2).build();
+        let mut engine = EngineKind::Sharded(2).build_with_config(EngineConfig::default());
         engine.insert(sub(1, &Expr::eq("category", "books")));
         engine.insert(sub(2, &Expr::le("price", 10i64)));
         assert_eq!(engine.len(), 2);

@@ -13,8 +13,8 @@ use std::time::Duration;
 pub struct FilterStats {
     /// Number of events filtered.
     pub events_filtered: u64,
-    /// Number of `match_batch` invocations (a single-event call through the
-    /// compatibility wrappers counts as a one-event batch). Together with
+    /// Number of `match_batch` invocations (a `match_event` call counts as a
+    /// one-event batch). Together with
     /// [`events_filtered`](Self::events_filtered) this reports the average
     /// batch size the engine was driven with.
     pub batches_filtered: u64,
@@ -57,8 +57,8 @@ pub struct FilterStats {
     /// time a DAG node with `r > 1` references is evaluated once instead of
     /// `r` times, this grows by `r - 1`.
     pub node_evals_saved: u64,
-    /// Total wall-clock time spent matching, in the single-event paths
-    /// (`match_event*`) and in the batched `match_batch` path alike.
+    /// Total wall-clock time spent in `match_batch`, whatever the batch
+    /// size.
     pub filter_time: Duration,
 }
 

@@ -3,8 +3,8 @@
 //! Analysis is a semantics-preserving registration-time rewrite, so an
 //! engine with `AnalyzeMode::On` must produce byte-identical match sets to
 //! the same engine with `AnalyzeMode::Off` — on `CountingEngine`,
-//! `ShardedEngine`, and `NaiveEngine`, through both the batch and the
-//! single-event path, and across subscription churn. The strategies are
+//! `ShardedEngine`, and `NaiveEngine`, through whole batches and one-event
+//! batches, and across subscription churn. The strategies are
 //! deliberately redundancy-heavy: duplicated subtrees, absorbable
 //! disjuncts, contradictory conjuncts (unsatisfiable trees), NaN
 //! constants, and nested equality disjunctions, so every analyzer pass is
@@ -177,7 +177,6 @@ proptest! {
         let batch: EventBatch = events.iter().cloned().collect();
         let mut on_sink = PerEventSink::new();
         let mut off_sink = PerEventSink::new();
-        let mut single = Vec::new();
         for pair in &mut pairs {
             pair.on.match_batch(&batch, &mut on_sink);
             pair.off.match_batch(&batch, &mut off_sink);
@@ -187,16 +186,14 @@ proptest! {
                     off_sink.for_event(i),
                     "{} batch divergence on event {}", pair.name, i
                 );
-                pair.on.match_event_into(event, &mut single);
                 prop_assert_eq!(
                     on_sink.for_event(i),
-                    &single[..],
+                    &pair.on.match_event(event)[..],
                     "{} on: batch vs single divergence on event {}", pair.name, i
                 );
-                pair.off.match_event_into(event, &mut single);
                 prop_assert_eq!(
                     off_sink.for_event(i),
-                    &single[..],
+                    &pair.off.match_event(event)[..],
                     "{} off: batch vs single divergence on event {}", pair.name, i
                 );
             }
@@ -216,8 +213,6 @@ proptest! {
             Expr::lt("fe", 3i64),
         ]);
         let mut pairs = engine_pairs();
-        let mut single_on = Vec::new();
-        let mut single_off = Vec::new();
         for pair in &mut pairs {
             for s in &subs {
                 pair.on.insert(s.clone());
@@ -245,8 +240,8 @@ proptest! {
                 "{}: unsatisfiable replacement still indexed", pair.name
             );
             for event in &events {
-                pair.on.match_event_into(event, &mut single_on);
-                pair.off.match_event_into(event, &mut single_off);
+                let single_on = pair.on.match_event(event);
+                let single_off = pair.off.match_event(event);
                 prop_assert_eq!(
                     &single_on,
                     &single_off,

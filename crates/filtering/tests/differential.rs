@@ -4,19 +4,54 @@
 //!   random workloads drawn from the `workload` generators (the same
 //!   generators the benchmarks and experiments use), across seeds and under
 //!   churn.
-//! * `match_batch` must agree with per-event `match_event` on both engines,
-//!   including when subscriptions churn between batches.
-//! * After warmup, repeated matching — per event or per batch — must not
-//!   allocate any new scratch: the generation-stamped counters, leaf masks,
-//!   touched lists, and the batch match buffer are reused.
+//! * `match_batch` must give the same matches whatever the batch size, on
+//!   both sides of every engine's batch-size fork (the per-event probe for
+//!   one-event batches, the staged `ProbePlan` above it, and the sharded
+//!   engine's inline/fan-out split), including when subscriptions churn
+//!   between batches.
+//! * After warmup, repeated matching — one-event or larger batches — must
+//!   not allocate any new scratch: the generation-stamped counters, leaf
+//!   masks, touched lists, and the batch match buffer are reused.
 
 use filtering::{
-    ATreeEngine, AnalyzeMode, CountingEngine, DiscriminationHint, EngineConfig, MatchingEngine,
-    NaiveEngine, PerEventSink, PrefilterMode, ShardedEngine,
+    ATreeEngine, AnalyzeMode, CountingEngine, DiscriminationHint, EngineConfig, EngineKind,
+    MatchingEngine, NaiveEngine, PerEventSink, PrefilterMode, ShardedEngine,
 };
 use proptest::prelude::*;
-use pubsub_core::{EventBatch, EventMessage};
-use workload::{WorkloadConfig, WorkloadGenerator};
+use pubsub_core::{EventBatch, EventMessage, Expr, SubscriberId, Subscription, SubscriptionId};
+use workload::{attributes, WorkloadConfig, WorkloadGenerator};
+
+/// Batch sizes that straddle every engine's batch-size fork: 1 takes the
+/// counting and A-Tree engines' per-event probe, 2 their staged
+/// `ProbePlan`, and 5 is the first size the sharded engine fans out to
+/// worker threads (it matches batches of up to 4 events inline).
+const FORK_BATCH_SIZES: [usize; 3] = [1, 2, 5];
+
+/// Re-drives `batch` through `engine` in consecutive chunks of `size`
+/// events (one reused chunk batch), returning each event's matches. A
+/// `size` covering the whole batch matches it directly, empty or not.
+fn match_in_chunks(
+    engine: &mut dyn MatchingEngine,
+    batch: &EventBatch,
+    size: usize,
+) -> Vec<Vec<SubscriptionId>> {
+    let mut sink = PerEventSink::new();
+    if size >= batch.len() {
+        engine.match_batch(batch, &mut sink);
+        return sink.iter().map(<[SubscriptionId]>::to_vec).collect();
+    }
+    let mut chunk = EventBatch::new();
+    let mut out = Vec::with_capacity(batch.len());
+    for start in (0..batch.len()).step_by(size) {
+        chunk.clear();
+        for i in start..(start + size).min(batch.len()) {
+            chunk.push_from(batch, i);
+        }
+        engine.match_batch(&chunk, &mut sink);
+        out.extend(sink.iter().map(<[SubscriptionId]>::to_vec));
+    }
+    out
+}
 
 proptest! {
     /// Counting and naive engines produce identical match sets on random
@@ -105,7 +140,7 @@ proptest! {
             prop_assert_eq!(counting_sink.len(), batch.len());
             prop_assert_eq!(naive_sink.len(), batch.len());
             for (i, event) in batch.events().iter().enumerate() {
-                // Reference: the engines' own single-event path.
+                // Reference: the engines' own one-event batches.
                 let expected_counting = counting.match_event(event);
                 let mut expected_naive = naive.match_event(event);
                 expected_naive.sort();
@@ -174,8 +209,6 @@ proptest! {
         prop_assert!(!counting_off.prefilter_enabled());
 
         let mut reference_sink = PerEventSink::new();
-        let mut got_sink = PerEventSink::new();
-        let mut single = Vec::new();
         for round in 0..4usize {
             // Round 2 is the empty batch; round 1 interleaves sparse events
             // (some or all schema attributes absent) with generated ones.
@@ -200,24 +233,19 @@ proptest! {
                 ("sharded on", &mut sharded_on),
                 ("sharded off", &mut sharded_off),
             ] {
-                engine.match_batch(&batch, &mut got_sink);
-                prop_assert_eq!(got_sink.len(), reference_sink.len());
-                for (i, event) in batch.events().iter().enumerate() {
-                    prop_assert_eq!(
-                        got_sink.for_event(i),
-                        reference_sink.for_event(i),
-                        "{} diverged from naive on seed {} round {} event {}",
-                        name, seed, round, i
-                    );
-                    // The single-event path runs the same pipeline without
-                    // batch probing; it must agree too.
-                    engine.match_event_into(event, &mut single);
-                    prop_assert_eq!(
-                        &single[..],
-                        reference_sink.for_event(i),
-                        "{} single-event path diverged on seed {} round {} event {}",
-                        name, seed, round, i
-                    );
+                // The whole batch, then smaller batches on the other side
+                // of the engines' batch-size forks.
+                for size in [batch.len()].into_iter().chain(FORK_BATCH_SIZES) {
+                    let got = match_in_chunks(engine, &batch, size);
+                    prop_assert_eq!(got.len(), reference_sink.len());
+                    for (i, got) in got.iter().enumerate() {
+                        prop_assert_eq!(
+                            &got[..],
+                            reference_sink.for_event(i),
+                            "{} in batches of {} diverged from naive on seed {} round {} event {}",
+                            name, size, seed, round, i
+                        );
+                    }
                 }
             }
             // Churn between rounds: remove every third subscription, then
@@ -303,10 +331,11 @@ proptest! {
     }
 
     /// The A-Tree engine is byte-identical to the counting engine and the
-    /// naive baseline on random workloads — batch and single-event paths,
-    /// registration-time analysis on and off, alone and sharded over 1, 2,
-    /// and 4 shards — including churn between batches (DAG reference-count
-    /// release, interning-slab slot reuse, and the empty-batch edge case).
+    /// naive baseline on random workloads — on both sides of every
+    /// batch-size fork, registration-time analysis on and off, alone and
+    /// sharded over 1, 2, and 4 shards — including churn between batches (DAG
+    /// reference-count release, interning-slab slot reuse, and the
+    /// empty-batch edge case).
     #[test]
     fn atree_agrees_with_counting_and_naive(seed in 0u64..16) {
         let mut generator = WorkloadGenerator::new(WorkloadConfig::small().with_seed(seed));
@@ -320,7 +349,7 @@ proptest! {
         let mut atree_off = ATreeEngine::with_config(analyze_off);
         let mut sharded: Vec<ShardedEngine<ATreeEngine>> = [1usize, 2, 4]
             .iter()
-            .map(|&n| ShardedEngine::<ATreeEngine>::with_shard_engine(analyze_on, n, 0))
+            .map(|&n| ShardedEngine::from_shard_fn(n, || ATreeEngine::with_config(analyze_on)))
             .collect();
         for s in &subscriptions {
             naive.insert(s.clone());
@@ -333,8 +362,6 @@ proptest! {
         }
 
         let mut reference_sink = PerEventSink::new();
-        let mut got_sink = PerEventSink::new();
-        let mut single = Vec::new();
         for round in 0..3usize {
             // Round 2 exercises the empty batch explicitly.
             let batch: EventBatch = if round == 2 {
@@ -352,28 +379,17 @@ proptest! {
                 engines.push(("sharded atree", engine));
             }
             for (name, engine) in engines {
-                engine.match_batch(&batch, &mut got_sink);
-                prop_assert_eq!(got_sink.len(), reference_sink.len());
-                for (i, event) in batch.events().iter().enumerate() {
-                    let mut got = got_sink.for_event(i).to_vec();
-                    // The naive baseline emits unsorted; everything else is
-                    // contractually id-sorted already and the sort is a
-                    // no-op.
-                    got.sort();
-                    prop_assert_eq!(
-                        &got[..],
-                        reference_sink.for_event(i),
-                        "{} batch path diverged from counting on seed {} round {} event {}",
-                        name, seed, round, i
-                    );
-                    engine.match_event_into(event, &mut single);
-                    single.sort();
-                    prop_assert_eq!(
-                        &single[..],
-                        reference_sink.for_event(i),
-                        "{} single-event path diverged on seed {} round {} event {}",
-                        name, seed, round, i
-                    );
+                for size in [batch.len()].into_iter().chain(FORK_BATCH_SIZES) {
+                    let got = match_in_chunks(engine, &batch, size);
+                    prop_assert_eq!(got.len(), reference_sink.len());
+                    for (i, got) in got.iter().enumerate() {
+                        prop_assert_eq!(
+                            &got[..],
+                            reference_sink.for_event(i),
+                            "{} in batches of {} diverged from counting on seed {} round {} event {}",
+                            name, size, seed, round, i
+                        );
+                    }
                 }
             }
             // Churn between batches: remove every third subscription, then
@@ -430,39 +446,46 @@ fn sharded_empty_slab_and_empty_batch_edge_cases() {
 }
 
 /// The acceptance test for the zero-allocation hot path: once the engine has
-/// seen one pass over the event set, further matching grows no scratch
-/// buffer (counters, generation stamps, touched list), which is observable
-/// through `scratch_capacity()` / `scratch_grows()`.
+/// seen one pass over the event set, further one-event batches grow no
+/// scratch buffer (counters, generation stamps, touched list), which is
+/// observable through `scratch_capacity()` / `scratch_grows()`.
 #[test]
 fn steady_state_matching_allocates_no_new_scratch() {
     let mut generator = WorkloadGenerator::new(WorkloadConfig::small());
     let subscriptions = generator.subscriptions(2_000);
-    let events = generator.events(300);
+    let events: EventBatch = generator.events(300).into_iter().collect();
 
     let mut engine = CountingEngine::with_capacity(subscriptions.len());
     for s in &subscriptions {
         engine.insert(s.clone());
     }
 
+    // Every pass drives one reused one-event batch through `match_batch`,
+    // so this pins the per-event probe (the n = 1 side of the fork).
+    let mut one = EventBatch::new();
+    let mut sink = PerEventSink::new();
+    let mut pass = |engine: &mut CountingEngine| {
+        for i in 0..events.len() {
+            one.clear();
+            one.push_from(&events, i);
+            engine.match_batch(&one, &mut sink);
+        }
+    };
+
     // Warm-up pass: scratch buffers grow to their steady-state sizes.
-    let mut matches = Vec::new();
-    for event in &events {
-        engine.match_event_into(event, &mut matches);
-    }
+    pass(&mut engine);
     let grows_after_warmup = engine.scratch_grows();
     let capacity_after_warmup = engine.scratch_capacity();
     assert!(capacity_after_warmup > 0, "warmup should allocate scratch");
 
     // Steady state: the second and every later pass reuse the scratch.
     for _ in 0..3 {
-        for event in &events {
-            engine.match_event_into(event, &mut matches);
-        }
+        pass(&mut engine);
     }
     assert_eq!(
         engine.scratch_grows(),
         grows_after_warmup,
-        "match_event grew scratch after warmup"
+        "one-event batches grew scratch after warmup"
     );
     assert_eq!(engine.scratch_capacity(), capacity_after_warmup);
 }
@@ -583,5 +606,102 @@ fn match_output_is_deterministic_and_sorted() {
         let b = backward.match_event(event);
         assert_eq!(a, b, "order of registration leaked into match output");
         assert!(a.windows(2).all(|w| w[0] < w[1]), "matches not sorted");
+    }
+}
+
+/// The batch-size fork table: every `EngineKind` × `FORK_BATCH_SIZES` ×
+/// pre-filter on/off against `NaiveEngine`, on a workload that includes
+/// `pmin == 0` negation subscriptions (matched by events that fulfil none of
+/// their predicates) and events missing some or all schema attributes (the
+/// pre-filter's kill condition). A subscription churn step between two
+/// passes makes every engine recompile its pre-filter and reuse slots.
+#[test]
+fn every_engine_kind_agrees_with_naive_across_the_batch_size_forks() {
+    let mut generator = WorkloadGenerator::new(WorkloadConfig::small().with_seed(7));
+    let mut subscriptions = generator.subscriptions(120);
+    let negations = [
+        Expr::not(Expr::eq(attributes::CATEGORY, "books")),
+        Expr::or(vec![
+            Expr::not(Expr::ge(attributes::PRICE, 50.0f64)),
+            Expr::eq(attributes::CONDITION, "new"),
+        ]),
+    ];
+    for (i, expr) in negations.iter().enumerate() {
+        subscriptions.push(Subscription::from_expr(
+            SubscriptionId::from_raw(1_000_000 + i as u64),
+            SubscriberId::from_raw(1_000_000 + i as u64),
+            expr,
+        ));
+    }
+    let hint = DiscriminationHint::from_events(&generator.events(200));
+    let events: EventBatch = generator
+        .events(12)
+        .into_iter()
+        .flat_map(|event| {
+            let sparse = EventMessage::builder()
+                .attr(attributes::TITLE, "an unlisted title")
+                .build();
+            [event, sparse, EventMessage::builder().build()]
+        })
+        .collect();
+    let kinds = [
+        EngineKind::Counting,
+        EngineKind::Sharded(3),
+        EngineKind::ATree,
+        EngineKind::ShardedATree(3),
+    ];
+
+    for mode in [PrefilterMode::On, PrefilterMode::Off] {
+        let config = EngineConfig::with_prefilter(mode);
+        let mut naive = NaiveEngine::new();
+        let mut engines: Vec<_> = kinds
+            .iter()
+            .map(|kind| {
+                let mut engine = kind.build_with_config(config);
+                engine.set_discrimination_hint(Some(hint.clone()));
+                (*kind, engine)
+            })
+            .collect();
+        for s in &subscriptions {
+            naive.insert(s.clone());
+            for (_, engine) in &mut engines {
+                engine.insert(s.clone());
+            }
+        }
+        for pass in 0..2 {
+            let mut expected = PerEventSink::new();
+            naive.match_batch(&events, &mut expected);
+            assert!(
+                expected
+                    .iter()
+                    .any(|m| m.contains(&SubscriptionId::from_raw(1_000_000))),
+                "the negation subscription never matched"
+            );
+            for (kind, engine) in &mut engines {
+                for size in FORK_BATCH_SIZES {
+                    let got = match_in_chunks(engine.as_mut(), &events, size);
+                    for (i, got) in got.iter().enumerate() {
+                        assert_eq!(
+                            &got[..],
+                            expected.for_event(i),
+                            "{kind:?} {mode:?} pass {pass} batch size {size} event {i}"
+                        );
+                    }
+                }
+            }
+            // Churn: drop every third subscription, re-add every sixth.
+            for s in subscriptions.iter().step_by(3) {
+                naive.remove(s.id());
+                for (_, engine) in &mut engines {
+                    engine.remove(s.id());
+                }
+            }
+            for s in subscriptions.iter().step_by(6) {
+                naive.insert(s.clone());
+                for (_, engine) in &mut engines {
+                    engine.insert(s.clone());
+                }
+            }
+        }
     }
 }
