@@ -1,88 +1,26 @@
-//! Matching-throughput panel: counting vs. naive engine across subscription
-//! counts and event widths, reported as machine-readable JSON.
-//!
-//! This is the benchmark that tracks the hot-path performance trajectory of
-//! the matcher over time. Unlike the criterion micro-benchmarks it emits a
-//! single well-formed JSON document (`BENCH_matching.json` by default) so CI
-//! and later sessions can diff the numbers.
-//!
-//! Usage:
+//! Matching-layer panel: one declarative table of cells, measured by one
+//! loop and written as `BENCH_matching.json`.
 //!
 //! ```text
-//! matching_panel [--quick] [--deep] [--out PATH] [--seed N]
+//! matching_panel [--quick | --wire-check | --deep] [--out PATH] [--seed N]
 //! ```
 //!
-//! `--quick` shrinks the panel to smoke-test sizes (used by CI); the default
-//! panel matches 2,000 events against 1,000 and 10,000 subscriptions at full
-//! (10-attribute) and narrow (4-attribute) event widths. `--deep` extends
-//! the A-Tree series (below) to the million-subscription cell, which takes
-//! minutes — it is opt-in and never run by CI.
+//! The mode picks the table's sizes ([`Mode::sizes`]): by default up to
+//! 10,000 subscriptions and 2,000 events (100,000 subscriptions in the
+//! A-Tree series); `--quick` is a smoke test; `--wire-check` runs 2,000
+//! subscriptions at batch 256, where the 15% overhead bounds mean
+//! something; `--deep` adds the million-subscription A-Tree cell (minutes).
 //!
-//! Besides the single-event panel (the `results` array, kept for trajectory
-//! comparability with earlier sessions), the panel records a **batched**
-//! paper-scale series (`batch_results`): the same events pre-chunked into
-//! `EventBatch`es of size 1/16/256 and driven through `match_batch` with a
-//! `CountSink` at the largest subscription count. The batch-size-1 cells
-//! measure the batch API's fixed overhead against the single-event path; the
-//! larger cells show the amortization the batch-first redesign buys.
-//!
-//! A `wire_results` series re-runs the batched cells with the broker wire
-//! codec in the loop (encode `PublishBatch` frame → decode into a reused
-//! batch → match), recording both the end-to-end cost of a broker hop and
-//! the isolated encode+decode cost (`codec_ns_per_event`); the top-level
-//! `codec_overhead_pct` field reports that overhead relative to pure match
-//! time at the largest batch, and CI bounds it.
-//!
-//! A `reliable_results` series re-runs the wire cells with the reliable-link
-//! layer wrapping every frame (sequence number, FNV checksum, cumulative ack
-//! fed back to the sender). On a clean link nothing retransmits, so the cells
-//! measure the fault-free cost of reliability; the top-level
-//! `reliability_overhead_pct` reports the framing+codec cost relative to pure
-//! match time at the largest batch, and CI bounds it alongside the codec
-//! gate. A small lossy crash/restart probe also runs once and its
-//! `NetworkStats` counters (`retransmits`, `dup_suppressed`,
-//! `corrupt_dropped`, `resyncs`, `decode_errors`, `queue_drops`) are embedded
-//! as `reliability_stats`, so CI can validate the observability fields carry
-//! real values.
-//!
-//! A `prefilter_results` series measures the staged pipeline's stage-0
-//! pre-filter: the uniform cell (the panel's own workload) and the skewed
-//! hot-key cell (`WorkloadConfig::hot_key`: Zipf ~1.6 title popularity,
-//! title-watcher-heavy subscriptions) are each matched with the pre-filter
-//! forced on (with a sampled discrimination hint installed) and forced off,
-//! at the largest subscription count. Each cell records the stage counters
-//! (`killed_by_prefilter`, `stage2_candidates`) alongside ns/event; the
-//! top-level `prefilter_speedup_hot_key` and `prefilter_overhead_uniform_pct`
-//! fields condense the two comparisons into the figures CI gates on.
-//!
-//! A `durability_results` series measures the durable subscription log on
-//! the broker subscribe path: the same subscriptions registered with the
-//! journal detached (`journal_off`) and attached (`journal_on`), plus a
-//! `replay` cell that rebuilds a fresh broker's routing table from the log
-//! alone — recovery's step 0, what a whole-cluster restart leans on. The
-//! top-level `durability_overhead_pct` condenses the on/off comparison into
-//! the figure CI bounds.
-//!
-//! An `atree_results` series compares the counting engine against the
-//! shared-subexpression `ATreeEngine` on a redundancy-heavy population
-//! (the base workload's expressions cycled under fresh subscription ids —
-//! the popular-filter-shape repetition very large populations exhibit) at
-//! 100k subscriptions by default and 1M behind `--deep`. Each cell records
-//! ns/event, the engine's tree memory in bytes (and per subscription), and
-//! the A-Tree's DAG shape (`dag_nodes`, `dag_edges`, `shared_subtrees`,
-//! `node_evals_saved`); the binary asserts the two engines' match streams
-//! are identical before timing anything, so a recorded cell is also a
-//! correctness witness.
-//!
-//! A third series (`sharded_results`) drives the same workload through
-//! `ShardedEngine` at shard counts 1/2/4/8 (large batches, so the fan-out
-//! amortizes): the 1-shard cell measures the sharding machinery's fixed
-//! overhead (merge + dispatch) and the larger counts show the multi-core
-//! scaling. On a single-core host the >1-shard cells measure overhead only —
-//! the recorded `host_parallelism` field says which regime a recording is in.
-//! After the measurements a same-run comparison table (single vs. batch vs.
-//! sharded at the shared 10k-subscription/width-10 cell) is printed to
-//! stderr, since host variance makes cross-run JSON diffing misleading.
+//! A [`Cell`] is a population, an engine with its [`EngineConfig`], a batch
+//! size and a pipeline. [`run_cell`] holds the one warm-up-then-time loop
+//! and returns one [`Row`] of key/value pairs; each series writes the
+//! columns [`SERIES`] declares. The durable-log cells and a lossy
+//! crash/restart probe have their own functions but emit rows too. The
+//! condensed [`FIGURES`] are declared as (numerator, denominator, bounds).
+//! After writing the JSON, [`check`] asserts the shape, identical match
+//! streams for identical inputs, the [`RULES`] and the bounds, and any
+//! failure makes the exit status 1. Compare timings within one run only:
+//! across runs the host's noise exceeds many of the deltas.
 
 use bench::narrow_events;
 use broker::wire::Codec;
@@ -92,603 +30,695 @@ use broker::{
     WireMessage,
 };
 use filtering::{
-    ATreeEngine, AnalyzeMode, CountSink, CountingEngine, DiscriminationHint, EngineConfig,
-    MatchingEngine, NaiveEngine, PerEventSink, PrefilterMode, ShardedEngine,
+    ATreeEngine, AnalyzeMode, CountSink, DiscriminationHint, EngineConfig, EngineKind, MatchSink,
+    MatchingEngine, NaiveEngine, PrefilterMode,
 };
 use pubsub_core::{EventBatch, EventMessage, SubscriberId, Subscription, SubscriptionId};
+use std::collections::BTreeSet;
 use std::time::Instant;
 use workload::{WorkloadConfig, WorkloadGenerator};
 
-/// One measured cell of the panel.
-struct PanelResult {
-    engine: &'static str,
-    subscriptions: usize,
-    event_width: usize,
-    events: usize,
-    /// Repetitions of the full event pass that were timed.
-    passes: usize,
-    /// Subscription matches produced by one pass over the event set.
-    matches_per_pass: usize,
-    ns_per_event: f64,
-    events_per_sec: f64,
+/// Attributes of a generated event, and of a narrowed one.
+const FULL_WIDTH: usize = 10;
+const NARROW_WIDTH: usize = 4;
+
+/// Which table the run measures.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Full,
+    Quick,
+    WireCheck,
+    Deep,
 }
 
-/// One measured cell of the batched panel.
-struct BatchPanelResult {
-    engine: &'static str,
-    subscriptions: usize,
-    event_width: usize,
-    batch_size: usize,
-    events: usize,
-    passes: usize,
-    matches_per_pass: usize,
-    ns_per_event: f64,
-    events_per_sec: f64,
-}
+const ALL: &[Mode] = &[Mode::Full, Mode::Quick, Mode::WireCheck, Mode::Deep];
+const QUICK: &[Mode] = &[Mode::Quick];
+const WIRE: &[Mode] = &[Mode::WireCheck];
 
-/// One measured cell of the wire panel: the full wire pipeline
-/// (encode frame → decode into a reused batch → match) plus the isolated
-/// codec cost, per event.
-struct WirePanelResult {
-    engine: &'static str,
-    subscriptions: usize,
-    event_width: usize,
-    batch_size: usize,
+/// The sizes of one mode's table.
+struct Sizes {
+    /// Subscription counts of the single-event series; the largest is the
+    /// count of every other uniform cell.
+    subs: &'static [usize],
     events: usize,
     passes: usize,
-    matches_per_pass: usize,
-    /// Encode + decode + match, per event.
-    ns_per_event: f64,
-    events_per_sec: f64,
-    /// Encode + decode only, per event (the codec overhead the wire adds on
-    /// top of matching).
-    codec_ns_per_event: f64,
+    /// Whether the single-event series also runs the narrowed events.
+    narrow: bool,
+    /// Batch sizes of the batch, wire and reliable series.
+    batches: &'static [usize],
+    shards: &'static [usize],
+    shard_batch: usize,
+    /// Batch size of the pre-filter and analysis series.
+    stage_batch: usize,
+    /// Subscription counts of the A-Tree's shared population.
+    atree_subs: &'static [usize],
+    /// Leading events the A-Tree series matches: fewer keep the big cells
+    /// bounded, and a cell records a per-event cost.
+    atree_events: usize,
 }
 
-/// The reliable-wire series plus the lossy-probe counters, grouped so the
-/// JSON renderer takes one reliability argument.
-struct ReliablePanel {
-    results: Vec<ReliableWireResult>,
-    /// `NetworkStats` from the lossy crash/restart probe.
-    probe: NetworkStats,
+impl Mode {
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Full => "full",
+            Mode::Quick => "quick",
+            Mode::WireCheck => "wire_check",
+            Mode::Deep => "deep",
+        }
+    }
+
+    fn sizes(self) -> Sizes {
+        let full = Sizes {
+            subs: &[1_000, 10_000],
+            events: 2_000,
+            passes: 3,
+            narrow: true,
+            batches: &[1, 16, 256],
+            shards: &[1, 2, 4, 8],
+            shard_batch: 256,
+            stage_batch: 256,
+            atree_subs: &[100_000],
+            atree_events: 512,
+        };
+        match self {
+            Mode::Full => full,
+            Mode::Deep => Sizes {
+                atree_subs: &[100_000, 1_000_000],
+                ..full
+            },
+            Mode::Quick => Sizes {
+                subs: &[50, 200],
+                events: 50,
+                passes: 2,
+                batches: &[1, 16],
+                shards: &[1, 2],
+                shard_batch: 16,
+                stage_batch: 16,
+                atree_subs: &[2_000],
+                atree_events: 64,
+                ..full
+            },
+            Mode::WireCheck => Sizes {
+                subs: &[2_000],
+                events: 1_024,
+                passes: 2,
+                narrow: false,
+                shards: &[1, 2],
+                atree_subs: &[2_000],
+                atree_events: 128,
+                ..full
+            },
+        }
+    }
 }
 
-/// One measured cell of the reliable wire panel: the wire pipeline with the
-/// reliable-link layer in the loop, on a clean (fault-free) link.
-struct ReliableWireResult {
+/// The subscriptions and events a cell runs on.
+#[derive(Clone, Copy, PartialEq)]
+enum Population {
+    /// The generated auction workload.
+    Uniform,
+    /// The same, with events narrowed to [`NARROW_WIDTH`] attributes.
+    Narrow,
+    /// Zipf ~1.6 title popularity, title-watcher-heavy subscriptions.
+    HotKey,
+    /// The uniform subscriptions in structure the analyzer removes, every
+    /// 20th made unsatisfiable ([`redundant_subs`]).
+    Redundant,
+    /// The uniform expressions cycled under fresh ids ([`shared_population`]).
+    Shared,
+    /// The uniform subscriptions at the A-Tree series' event count: the
+    /// paper's own workload, where little is shared.
+    Auction,
+}
+
+impl Population {
+    fn name(self) -> &'static str {
+        match self {
+            Population::Uniform => "uniform",
+            Population::Narrow => "narrow",
+            Population::HotKey => "hot_key",
+            Population::Redundant => "redundant",
+            Population::Shared => "shared",
+            Population::Auction => "auction",
+        }
+    }
+
+    fn subscriptions(self, data: &Data, count: usize) -> Vec<Subscription> {
+        match self {
+            Population::HotKey => data.hot_subs[..count].to_vec(),
+            Population::Redundant => redundant_subs(&data.subs[..count]),
+            Population::Shared => shared_population(&data.subs, count),
+            _ => data.subs[..count].to_vec(),
+        }
+    }
+
+    fn events(self, data: &Data) -> &[EventMessage] {
+        match self {
+            Population::Narrow => &data.narrow_events,
+            Population::HotKey => &data.hot_events,
+            _ => &data.events,
+        }
+    }
+}
+
+/// The generated workloads every population is drawn from.
+struct Data {
+    subs: Vec<Subscription>,
+    events: Vec<EventMessage>,
+    narrow_events: Vec<EventMessage>,
+    hot_subs: Vec<Subscription>,
+    hot_events: Vec<EventMessage>,
+}
+
+impl Data {
+    fn generate(seed: u64, subs: usize, events: usize) -> Self {
+        let mut base = WorkloadGenerator::new(WorkloadConfig::small().with_seed(seed));
+        let mut hot = WorkloadGenerator::new(WorkloadConfig::hot_key().with_seed(seed));
+        let (base_subs, base_events) = (base.subscriptions(subs), base.events(events));
+        Data {
+            narrow_events: narrow_events(&base_events, NARROW_WIDTH),
+            subs: base_subs,
+            events: base_events,
+            hot_subs: hot.subscriptions(subs),
+            hot_events: hot.events(events),
+        }
+    }
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Engine {
+    Naive,
+    Counting,
+    ATree,
+    Sharded(usize),
+}
+
+/// What carries each batch to the engine.
+#[derive(Clone, Copy, PartialEq)]
+enum Pipeline {
+    /// The batch is matched as is.
+    Match,
+    /// Encode a `PublishBatch` frame, decode it into a reused batch, match:
+    /// one broker hop.
+    Wire,
+    /// The wire hop inside a clean reliable link: wrap (sequence number,
+    /// checksum), unwrap, feed the ack back, decode, match.
+    Reliable,
+}
+
+/// One measured cell of the table.
+struct Cell {
+    series: &'static str,
+    population: Population,
     subscriptions: usize,
-    batch_size: usize,
+    /// Leading events of the population matched per pass.
     events: usize,
-    passes: usize,
-    matches_per_pass: usize,
-    /// Encode + wrap + unwrap + ack + decode + match, per event.
-    ns_per_event: f64,
-    events_per_sec: f64,
-    /// Encode + wrap + unwrap + ack + decode only (no matching), per event —
-    /// the codec cost plus everything reliability adds on a clean link.
-    framing_ns_per_event: f64,
-}
-
-/// One measured cell of the durability panel: the broker subscribe path
-/// with the durable subscription log detached (`journal_off`), attached
-/// (`journal_on`), and the log replayed into a fresh broker (`replay`).
-struct DurabilityPanelResult {
+    engine: Engine,
+    config: EngineConfig,
+    /// `"on"`/`"off"` in the pre-filter and analysis series.
     mode: &'static str,
-    subscriptions: usize,
+    batch: usize,
+    pipeline: Pipeline,
     passes: usize,
-    /// Per subscribe for the registration modes; per replayed record for
-    /// the replay cell.
-    ns_per_op: f64,
-    /// One full pass (registering or replaying every subscription), in
-    /// milliseconds.
-    total_ms: f64,
-    /// Bytes one registration pass appended to the log (0 with the journal
-    /// detached).
-    log_bytes: u64,
-    /// Records the replay cell applied (0 for the registration modes).
-    records_replayed: u64,
 }
 
-/// One measured cell of the pre-filter panel: one workload cell matched
-/// with the stage-0 pre-filter forced on or off.
-struct PrefilterPanelResult {
-    /// Workload cell: `"uniform"` (the panel's own workload) or `"hot_key"`
-    /// (Zipf ~1.6 title popularity, title-watcher-heavy subscriptions).
-    workload: &'static str,
-    /// Pre-filter mode: `"on"` or `"off"`.
-    mode: &'static str,
-    subscriptions: usize,
-    batch_size: usize,
-    events: usize,
-    passes: usize,
-    matches_per_pass: usize,
-    /// Candidate emissions killed by stage 0 across the timed passes.
-    killed_by_prefilter: u64,
-    /// Subscriptions that reached stage-2 evaluation across the timed passes.
-    stage2_candidates: u64,
-    ns_per_event: f64,
-    events_per_sec: f64,
-}
-
-/// One measured cell of the subscription-analysis panel: one workload cell
-/// matched with the registration-time analyzer forced on or off.
-struct AnalysisPanelResult {
-    /// Workload cell: `"uniform"` (the panel's own workload) or
-    /// `"redundant"` (the same subscriptions wrapped in duplicated,
-    /// absorbed, and range-redundant structure, with ~5% made
-    /// unsatisfiable).
-    workload: &'static str,
-    /// Analyzer mode: `"on"` or `"off"`.
-    mode: &'static str,
-    /// Subscriptions offered at registration (before any rejection).
-    subscriptions: usize,
-    /// Subscriptions actually indexed after registration.
-    indexed: usize,
-    batch_size: usize,
-    events: usize,
-    passes: usize,
-    matches_per_pass: usize,
-    /// Subscriptions that reached stage-2 evaluation across the timed passes.
-    stage2_candidates: u64,
-    /// Registration-time counters (from `FilterStats`).
-    subs_simplified: u64,
-    nodes_eliminated: u64,
-    unsatisfiable_rejected: u64,
-    /// Wire bytes to flood every indexed subscription once (`Subscribe`
-    /// frames over the stored — i.e. possibly normalized — trees).
-    subscribe_bytes: u64,
-    ns_per_event: f64,
-    events_per_sec: f64,
-}
-
-/// One measured cell of the A-Tree panel: one engine (counting or atree)
-/// over the redundancy-heavy shared population at one subscription count,
-/// with per-engine memory accounting.
-struct AtreePanelResult {
-    engine: &'static str,
-    subscriptions: usize,
-    batch_size: usize,
-    events: usize,
-    passes: usize,
-    matches_per_pass: usize,
-    ns_per_event: f64,
-    events_per_sec: f64,
-    /// Bytes the engine holds for registered subscription structure: the
-    /// counting engine's stored trees, or the A-Tree's interned DAG slab
-    /// (`EngineReport::tree_bytes` for both).
-    memory_bytes: u64,
-    bytes_per_sub: f64,
-    /// Predicate/subscription associations (leaf index entries).
-    associations: u64,
-    /// DAG shape — zero for the counting engine.
-    dag_nodes: u64,
-    dag_edges: u64,
-    shared_subtrees: u64,
-    /// Node evaluations avoided by sharing across the timed passes.
-    node_evals_saved: u64,
-}
-
-/// One measured cell of the sharded panel.
-struct ShardedPanelResult {
-    engine: &'static str,
-    subscriptions: usize,
-    event_width: usize,
-    shards: usize,
-    batch_size: usize,
-    events: usize,
-    passes: usize,
-    matches_per_pass: usize,
-    ns_per_event: f64,
-    events_per_sec: f64,
-}
-
-struct PanelConfig {
-    quick: bool,
-    /// CI's codec-overhead gate: a mid-size (2,000-subscription) panel big
-    /// enough for the <15% codec-overhead bound to be meaningful, small
-    /// enough to run on every commit.
-    wire_check: bool,
-    /// Extends the A-Tree series to the million-subscription cell. Takes
-    /// minutes; opt-in, never run by CI.
-    deep: bool,
-    out: String,
-    seed: u64,
-}
-
-fn parse_args() -> Result<PanelConfig, String> {
-    let mut config = PanelConfig {
-        quick: false,
-        wire_check: false,
-        deep: false,
-        out: "BENCH_matching.json".to_owned(),
-        seed: 42,
+/// Every cell of one mode's table, in measurement order.
+fn table(sizes: &Sizes) -> Vec<Cell> {
+    let max_subs = *sizes.subs.iter().max().expect("the panel has sizes");
+    let cell = |series, population, subscriptions, engine, batch| Cell {
+        series,
+        population,
+        subscriptions,
+        events: sizes.events,
+        engine,
+        config: EngineConfig::default(),
+        mode: "",
+        batch,
+        pipeline: Pipeline::Match,
+        passes: sizes.passes,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => config.quick = true,
-            "--wire-check" => config.wire_check = true,
-            "--deep" => config.deep = true,
-            "--out" => {
-                config.out = args.next().ok_or("--out requires a path")?;
+    let (uniform, counting) = (Population::Uniform, Engine::Counting);
+    let mut cells = Vec::new();
+    // Single events: each is its own batch, as a broker handles a one-event
+    // `PublishBatch` frame.
+    let widths = [uniform, Population::Narrow];
+    for &population in &widths[..1 + sizes.narrow as usize] {
+        for &subs in sizes.subs {
+            for engine in [counting, Engine::Naive] {
+                cells.push(cell("results", population, subs, engine, 1));
             }
-            "--seed" => {
-                config.seed = args
-                    .next()
-                    .ok_or("--seed requires a number")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed: {e}"))?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: matching_panel [--quick] [--wire-check] [--deep] [--out PATH] [--seed N]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if config.quick && config.wire_check {
-        return Err("--quick and --wire-check are mutually exclusive".to_owned());
+    for (series, pipeline) in [
+        ("batch_results", Pipeline::Match),
+        ("wire_results", Pipeline::Wire),
+        ("reliable_results", Pipeline::Reliable),
+    ] {
+        for &batch in sizes.batches {
+            let mut c = cell(series, uniform, max_subs, counting, batch);
+            c.pipeline = pipeline;
+            cells.push(c);
+        }
     }
-    if config.deep && (config.quick || config.wire_check) {
-        return Err("--deep is incompatible with --quick and --wire-check".to_owned());
+    for &shards in sizes.shards {
+        let (engine, batch) = (Engine::Sharded(shards), sizes.shard_batch);
+        cells.push(cell("sharded_results", uniform, max_subs, engine, batch));
     }
-    Ok(config)
+    let prefilter = [PrefilterMode::On, PrefilterMode::Off];
+    let analyze = [AnalyzeMode::On, AnalyzeMode::Off];
+    for (series, population) in [
+        ("prefilter_results", uniform),
+        ("prefilter_results", Population::HotKey),
+        ("analysis_results", uniform),
+        ("analysis_results", Population::Redundant),
+    ] {
+        for (i, mode) in ["on", "off"].into_iter().enumerate() {
+            let mut c = cell(series, population, max_subs, counting, sizes.stage_batch);
+            c.mode = mode;
+            c.config = match series {
+                "prefilter_results" => EngineConfig::with_prefilter(prefilter[i]),
+                _ => EngineConfig::default().analyze(analyze[i]),
+            };
+            cells.push(c);
+        }
+    }
+    let shared = sizes.atree_subs.iter().map(|&n| (Population::Shared, n));
+    for (population, subs) in shared.chain([(Population::Auction, max_subs)]) {
+        for engine in [counting, Engine::ATree] {
+            let mut c = cell("atree_results", population, subs, engine, 64);
+            c.events = sizes.atree_events.min(sizes.events);
+            // One timed pass at the million-subscription cell.
+            c.passes = if subs >= 1_000_000 { 1 } else { sizes.passes };
+            cells.push(c);
+        }
+    }
+    cells
 }
 
-fn time_engine(
-    engine: &mut dyn MatchingEngine,
-    events: &[EventMessage],
-    passes: usize,
-) -> (usize, f64) {
-    // Every event is matched as its own batch: one reused one-event batch
-    // is refilled from `all` and driven through `match_batch` into one
-    // reused sink, so the counting engine's per-event probe is measured
-    // allocation-free — the way a broker handles a one-event `PublishBatch`
-    // frame. One untimed warm-up pass lets the engine allocate its scratch
-    // before measurement.
-    let all: EventBatch = events.iter().cloned().collect();
-    let mut one = EventBatch::new();
-    let mut sink = CountSink::new();
-    let mut pass = |engine: &mut dyn MatchingEngine| {
-        let mut matches = 0usize;
-        for i in 0..all.len() {
-            one.clear();
-            one.push_from(&all, i);
-            engine.match_batch(&one, &mut sink);
-            matches += sink.count() as usize;
-        }
-        matches
-    };
-    pass(engine);
-    let start = Instant::now();
-    let mut matches = 0usize;
-    for _ in 0..passes {
-        matches += pass(engine);
-    }
-    let elapsed = start.elapsed();
-    let matches_per_pass = matches / passes.max(1);
-    let ns_per_event = elapsed.as_nanos() as f64 / (passes * events.len()) as f64;
-    (matches_per_pass, ns_per_event)
+/// A number as written in the JSON.
+fn fixed(v: f64) -> String {
+    format!("{v:.1}")
 }
 
-fn measure(
-    engine_name: &'static str,
-    subscriptions: &[Subscription],
-    events: &[EventMessage],
-    width: usize,
-    passes: usize,
-) -> PanelResult {
-    let (matches_per_pass, ns_per_event) = match engine_name {
-        "counting" => {
-            let mut engine = CountingEngine::with_capacity(subscriptions.len());
-            for s in subscriptions {
-                engine.insert(s.clone());
-            }
-            time_engine(&mut engine, events, passes)
-        }
-        "naive" => {
-            let mut engine = NaiveEngine::new();
-            for s in subscriptions {
-                engine.insert(s.clone());
-            }
-            time_engine(&mut engine, events, passes)
-        }
-        other => unreachable!("unknown engine {other}"),
-    };
-    PanelResult {
-        engine: engine_name,
-        subscriptions: subscriptions.len(),
-        event_width: width,
-        events: events.len(),
-        passes,
-        matches_per_pass,
-        ns_per_event,
-        events_per_sec: 1e9 / ns_per_event.max(1e-9),
-    }
+/// A string as written in the JSON.
+fn text(s: &str) -> String {
+    format!("\"{s}\"")
 }
 
-/// Times `match_batch` over pre-chunked batches, reusing one `CountSink`.
-/// One untimed warm-up pass lets the engine allocate its scratch first.
-fn time_engine_batched(
-    engine: &mut dyn MatchingEngine,
-    batches: &[EventBatch],
-    passes: usize,
-) -> (usize, f64) {
-    let mut sink = CountSink::new();
-    for batch in batches {
-        engine.match_batch(batch, &mut sink);
-    }
-    let total_events: usize = batches.iter().map(EventBatch::len).sum();
-    let start = Instant::now();
-    let mut matches = 0usize;
-    for _ in 0..passes {
-        for batch in batches {
-            engine.match_batch(batch, &mut sink);
-            matches += sink.count() as usize;
-        }
-    }
-    let elapsed = start.elapsed();
-    let matches_per_pass = matches / passes.max(1);
-    let ns_per_event = elapsed.as_nanos() as f64 / (passes * total_events) as f64;
-    (matches_per_pass, ns_per_event)
+/// The input a row's match stream came from (population, subscriptions,
+/// events) and an order-insensitive digest of that stream.
+type Output = ((&'static str, usize, usize), u64);
+
+/// One measured row: its series, its key/value pairs as written in the
+/// JSON (a superset of the series' columns) and, for matching cells, its
+/// output.
+struct Row {
+    series: &'static str,
+    values: Vec<(&'static str, String)>,
+    output: Option<Output>,
 }
 
-/// Measures the counting engine over pre-chunked batches. (The naive
-/// baseline has no batch-specific behaviour worth a panel row — its
-/// per-event cost is identical either way, as the single-event panel above
-/// already records.)
-fn measure_batched(
-    subscriptions: &[Subscription],
-    events: &[EventMessage],
-    width: usize,
-    batch_size: usize,
-    passes: usize,
-) -> BatchPanelResult {
-    let batches: Vec<EventBatch> = events
-        .chunks(batch_size)
-        .map(|chunk| chunk.iter().cloned().collect())
-        .collect();
-    let mut engine = CountingEngine::with_capacity(subscriptions.len());
-    for s in subscriptions {
-        engine.insert(s.clone());
+impl Row {
+    fn new(series: &'static str, values: Vec<(&'static str, String)>) -> Self {
+        Row {
+            series,
+            values,
+            output: None,
+        }
     }
-    let (matches_per_pass, ns_per_event) = time_engine_batched(&mut engine, &batches, passes);
-    BatchPanelResult {
-        engine: "counting",
-        subscriptions: subscriptions.len(),
-        event_width: width,
-        batch_size,
-        events: events.len(),
-        passes,
-        matches_per_pass,
-        ns_per_event,
-        events_per_sec: 1e9 / ns_per_event.max(1e-9),
+
+    fn get(&self, key: &str) -> Option<&str> {
+        let value = self.values.iter().find(|(k, _)| *k == key);
+        value.map(|(_, v)| v.as_str())
+    }
+
+    fn num(&self, key: &str) -> f64 {
+        self.get(key)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(f64::NAN)
+    }
+
+    /// Whether `lhs op rhs` holds ([`RULES`] syntax).
+    fn meets(&self, lhs: &str, op: &str, rhs: &str) -> bool {
+        let a: f64 = lhs.split('+').map(|metric| self.num(metric)).sum();
+        if a.is_nan() && op == "==" {
+            return self.has(lhs, rhs);
+        }
+        holds(a, op, rhs.parse().unwrap_or_else(|_| self.num(rhs)))
+    }
+
+    /// Whether the row's `key` reads `value` (strings without quotes).
+    fn has(&self, key: &str, value: &str) -> bool {
+        self.get(key).is_some_and(|v| v.trim_matches('"') == value)
     }
 }
 
-/// Measures the full wire pipeline over pre-chunked batches: each timed
-/// step encodes the batch into a reused frame buffer, decodes the frame
-/// into a reused `EventBatch` (exactly what a broker hop does with an
-/// incoming `PublishBatch`), and matches the decoded batch. A second timed
-/// loop isolates the encode+decode cost.
-fn measure_wire(
-    subscriptions: &[Subscription],
-    events: &[EventMessage],
-    width: usize,
-    batch_size: usize,
-    passes: usize,
-) -> WirePanelResult {
-    let batches: Vec<EventBatch> = events
-        .chunks(batch_size)
-        .map(|chunk| chunk.iter().cloned().collect())
-        .collect();
-    let mut engine = CountingEngine::with_capacity(subscriptions.len());
-    for s in subscriptions {
-        engine.insert(s.clone());
-    }
-    let mut codec = Codec::new();
-    let mut frame = Vec::new();
-    let mut decoded = EventBatch::new();
-    let mut sink = CountSink::new();
-    let total_events: usize = batches.iter().map(EventBatch::len).sum();
+/// The rows `spec` selects: `"series key=value ..."`.
+fn select<'a>(rows: &'a [Row], spec: &'a str) -> impl Iterator<Item = &'a Row> + 'a {
+    let mut words = spec.split_whitespace();
+    let series = words.next().unwrap_or_default();
+    let labels: Vec<(&str, &str)> = words.filter_map(|w| w.split_once('=')).collect();
+    rows.iter()
+        .filter(move |r| r.series == series && labels.iter().all(|&(k, v)| r.has(k, v)))
+}
 
-    // Warm-up: size the frame buffer, the decode batch, the codec caches,
-    // and the engine scratch.
-    for batch in &batches {
+/// Folds every (event, subscription) match into a sum of hashes, so
+/// engines that emit the same set in another order agree.
+#[derive(Default)]
+struct DigestSink {
+    next_event: u64,
+    first_event: u64,
+    digest: u64,
+}
+
+impl MatchSink for DigestSink {
+    fn begin_batch(&mut self, batch_len: usize) {
+        self.first_event = self.next_event;
+        self.next_event += batch_len as u64;
+    }
+
+    fn on_match(&mut self, event_index: usize, sub: SubscriptionId) {
+        // The splitmix64 finalizer over (event index in the pass, id).
+        let mut x = ((self.first_event + event_index as u64) << 32) ^ sub.raw();
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.digest = self.digest.wrapping_add(x ^ (x >> 31));
+    }
+}
+
+/// Carries batches through a cell's pipeline, reusing every buffer.
+#[derive(Default)]
+struct Carrier {
+    codec: Codec,
+    frame: Vec<u8>,
+    decoded: EventBatch,
+    session: ReliableSession,
+    stats: NetworkStats,
+    outer: Vec<u8>,
+    delivered: Vec<Vec<u8>>,
+    acks: Vec<(BrokerId, BrokerId, Vec<u8>)>,
+}
+
+impl Carrier {
+    /// The batch the receiving engine matches.
+    fn carry<'a>(&'a mut self, pipeline: Pipeline, batch: &'a EventBatch) -> &'a EventBatch {
+        if pipeline == Pipeline::Match {
+            return batch;
+        }
+        let Carrier {
+            codec,
+            frame,
+            decoded,
+            session,
+            stats,
+            outer,
+            delivered,
+            acks,
+        } = self;
         frame.clear();
-        codec.encode_publish_batch(batch, &mut frame);
-        codec
-            .decode_publish_batch_into(&frame, &mut decoded)
-            .expect("panel frames are well-formed");
-        engine.match_batch(&decoded, &mut sink);
-    }
-
-    // Full pipeline: encode + decode + match.
-    let start = Instant::now();
-    let mut matches = 0usize;
-    for _ in 0..passes {
-        for batch in &batches {
-            frame.clear();
-            codec.encode_publish_batch(batch, &mut frame);
-            codec
-                .decode_publish_batch_into(&frame, &mut decoded)
-                .expect("panel frames are well-formed");
-            engine.match_batch(&decoded, &mut sink);
-            matches += sink.count() as usize;
-        }
-    }
-    let pipeline = start.elapsed();
-
-    // Codec only: encode + decode.
-    let start = Instant::now();
-    for _ in 0..passes {
-        for batch in &batches {
-            frame.clear();
-            codec.encode_publish_batch(batch, &mut frame);
-            codec
-                .decode_publish_batch_into(&frame, &mut decoded)
-                .expect("panel frames are well-formed");
-        }
-    }
-    let codec_only = start.elapsed();
-
-    let denom = (passes * total_events) as f64;
-    let ns_per_event = pipeline.as_nanos() as f64 / denom;
-    WirePanelResult {
-        engine: "counting",
-        subscriptions: subscriptions.len(),
-        event_width: width,
-        batch_size,
-        events: events.len(),
-        passes,
-        matches_per_pass: matches / passes.max(1),
-        ns_per_event,
-        events_per_sec: 1e9 / ns_per_event.max(1e-9),
-        codec_ns_per_event: codec_only.as_nanos() as f64 / denom,
-    }
-}
-
-/// Measures the wire pipeline with the reliable-link layer in the loop:
-/// each timed step encodes the batch, wraps it in a sequenced+checksummed
-/// data frame (`wrap_send`), unwraps it on the receiving side (`recv`),
-/// feeds the cumulative ack back to the sender, decodes the delivered inner
-/// frame, and matches. The link is clean, so nothing retransmits and the
-/// session never ticks: this is the pure fault-free cost of reliability. A
-/// second timed loop drops the matching step to isolate the framing+codec
-/// cost.
-fn measure_reliable_wire(
-    subscriptions: &[Subscription],
-    events: &[EventMessage],
-    batch_size: usize,
-    passes: usize,
-) -> ReliableWireResult {
-    let batches: Vec<EventBatch> = events
-        .chunks(batch_size)
-        .map(|chunk| chunk.iter().cloned().collect())
-        .collect();
-    let mut engine = CountingEngine::with_capacity(subscriptions.len());
-    for s in subscriptions {
-        engine.insert(s.clone());
-    }
-    let sender = BrokerId::from_raw(0);
-    let receiver = BrokerId::from_raw(1);
-    let mut session = ReliableSession::new();
-    let mut stats = NetworkStats::default();
-    let mut codec = Codec::new();
-    let mut frame = Vec::new();
-    let mut outer = Vec::new();
-    let mut delivered: Vec<Vec<u8>> = Vec::new();
-    let mut acks: Vec<(BrokerId, BrokerId, Vec<u8>)> = Vec::new();
-    let mut ack_delivered: Vec<Vec<u8>> = Vec::new();
-    let mut ack_acks: Vec<(BrokerId, BrokerId, Vec<u8>)> = Vec::new();
-    let mut decoded = EventBatch::new();
-    let mut sink = CountSink::new();
-    let total_events: usize = batches.iter().map(EventBatch::len).sum();
-
-    // One hop: encode → wrap → unwrap → process the ack → decode. Returns
-    // with `decoded` holding the batch the receiving broker would match.
-    macro_rules! hop {
-        ($batch:expr) => {{
-            frame.clear();
-            codec.encode_publish_batch($batch, &mut frame);
-            let outcome = session.wrap_send(sender, receiver, &frame, &mut outer, &mut stats);
+        codec.encode_publish_batch(batch, frame);
+        let frames = if pipeline == Pipeline::Wire {
+            std::slice::from_ref(&*frame)
+        } else {
+            let (from, to) = (BrokerId::from_raw(0), BrokerId::from_raw(1));
+            let sent = session.wrap_send(from, to, frame, outer, stats);
             assert!(
-                matches!(outcome, SendOutcome::Sent(_)),
-                "a clean link always sends immediately"
+                matches!(sent, SendOutcome::Sent(_)),
+                "a clean link sends at once"
             );
             delivered.clear();
-            acks.clear();
-            session.recv(
-                sender,
-                receiver,
-                &outer,
-                &mut delivered,
-                &mut acks,
-                &mut stats,
-            );
+            session.recv(from, to, outer, delivered, acks, stats);
             for (from, to, ack) in acks.drain(..) {
-                session.recv(
-                    from,
-                    to,
-                    &ack,
-                    &mut ack_delivered,
-                    &mut ack_acks,
-                    &mut stats,
-                );
+                // An ack delivers and acks nothing: neither `Vec` allocates.
+                session.recv(from, to, &ack, &mut Vec::new(), &mut Vec::new(), stats);
             }
-            for inner in &delivered {
-                codec
-                    .decode_publish_batch_into(inner, &mut decoded)
-                    .expect("panel frames are well-formed");
-            }
-        }};
-    }
-
-    // Warm-up: size the buffers and caches.
-    for batch in &batches {
-        hop!(batch);
-        engine.match_batch(&decoded, &mut sink);
-    }
-
-    // Full pipeline: reliable hop + match.
-    let start = Instant::now();
-    let mut matches = 0usize;
-    for _ in 0..passes {
-        for batch in &batches {
-            hop!(batch);
-            engine.match_batch(&decoded, &mut sink);
-            matches += sink.count() as usize;
+            &delivered[..]
+        };
+        for inner in frames {
+            let decode = codec.decode_publish_batch_into(inner, decoded);
+            decode.expect("panel frames are well-formed");
         }
-    }
-    let pipeline = start.elapsed();
-
-    // Framing only: the reliable hop without matching.
-    let start = Instant::now();
-    for _ in 0..passes {
-        for batch in &batches {
-            hop!(batch);
-        }
-    }
-    let framing = start.elapsed();
-
-    assert!(
-        !session.has_unacked() && stats.retransmits == 0,
-        "the clean measurement link must stay fully acked"
-    );
-    let denom = (passes * total_events) as f64;
-    let ns_per_event = pipeline.as_nanos() as f64 / denom;
-    ReliableWireResult {
-        subscriptions: subscriptions.len(),
-        batch_size,
-        events: events.len(),
-        passes,
-        matches_per_pass: matches / passes.max(1),
-        ns_per_event,
-        events_per_sec: 1e9 / ns_per_event.max(1e-9),
-        framing_ns_per_event: framing.as_nanos() as f64 / denom,
+        decoded
     }
 }
 
-/// Drives a small lossy line topology — 20% drop, 10% duplication, 10%
-/// corruption, reordering — with a mid-run crash/restart of the middle
-/// broker through the reliable simulation, and returns its `NetworkStats`.
-/// The JSON embeds these counters as `reliability_stats` so CI can validate
-/// that the observability fields exist *and* carry real non-zero values.
-fn reliability_probe(seed: u64) -> NetworkStats {
+/// Builds the cell's engine and measures it, adding the DAG's edge count.
+fn measure(cell: &Cell, data: &Data) -> Row {
+    let config = cell.config;
+    let of_kind = |kind: EngineKind| run_cell(cell, data, kind.build_with_config(config).as_mut());
+    let mut dag_edges = 0;
+    let mut row = match cell.engine {
+        Engine::ATree => {
+            // Built directly, not through `EngineKind`, to read the edges.
+            let mut atree = ATreeEngine::with_config(config);
+            let row = run_cell(cell, data, &mut atree);
+            dag_edges = atree.memory().edge_count;
+            row
+        }
+        Engine::Naive => run_cell(cell, data, &mut NaiveEngine::with_config(config)),
+        Engine::Counting => of_kind(EngineKind::Counting),
+        Engine::Sharded(shards) => of_kind(EngineKind::Sharded(shards)),
+    };
+    row.values.push(("dag_edges", dag_edges.to_string()));
+    row
+}
+
+/// Inserts the population, runs one untimed warm-up pass (sizing every
+/// buffer and recording the match-stream digest), resets the stats and
+/// times the passes; the wire and reliable pipelines then time the same
+/// passes without matching.
+fn run_cell(cell: &Cell, data: &Data, engine: &mut dyn MatchingEngine) -> Row {
+    let events = &cell.population.events(data)[..cell.events];
+    if cell.config.prefilter == PrefilterMode::On {
+        let sample = &events[..events.len().min(500)];
+        engine.set_discrimination_hint(Some(DiscriminationHint::from_events(sample)));
+    }
+    for subscription in cell.population.subscriptions(data, cell.subscriptions) {
+        engine.insert(subscription);
+    }
+    let registration = *engine.stats();
+    // The wire bytes to flood every stored (possibly normalized) tree once.
+    let (mut codec, mut frame) = (Codec::new(), Vec::new());
+    let subscribe_bytes: usize = engine
+        .subscriptions()
+        .map(|s| {
+            frame.clear();
+            let subscription = s.clone();
+            codec.encode_into(&WireMessage::Subscribe { subscription }, &mut frame)
+        })
+        .sum();
+
+    let batches: Vec<EventBatch> = events
+        .chunks(cell.batch)
+        .map(|chunk| chunk.iter().cloned().collect())
+        .collect();
+    let mut carrier = Carrier::default();
+    let mut digest = DigestSink::default();
+    for batch in &batches {
+        engine.match_batch(carrier.carry(cell.pipeline, batch), &mut digest);
+    }
+    engine.reset_stats();
+
+    let mut sink = CountSink::new();
+    let mut timed = |matching: bool| {
+        let (start, mut matches) = (Instant::now(), 0);
+        for _ in 0..cell.passes {
+            for batch in &batches {
+                let carried = carrier.carry(cell.pipeline, batch);
+                if matching {
+                    engine.match_batch(carried, &mut sink);
+                    matches += sink.count();
+                }
+            }
+        }
+        (start.elapsed().as_nanos() as f64, matches)
+    };
+    let per_event = (cell.passes * events.len()) as f64;
+    let (elapsed, matches) = timed(true);
+    let overhead = match cell.pipeline {
+        Pipeline::Match => None,
+        Pipeline::Wire => Some(("codec_ns_per_event", timed(false).0 / per_event)),
+        Pipeline::Reliable => Some(("framing_ns_per_event", timed(false).0 / per_event)),
+    };
+    assert!(
+        !carrier.session.has_unacked() && carrier.stats.retransmits == 0,
+        "the clean measurement link must stay fully acked"
+    );
+
+    let ns_per_event = elapsed / per_event;
+    let (stats, report) = (*engine.stats(), engine.report());
+    let (engine_name, shards) = match cell.engine {
+        Engine::Naive => ("naive", 1),
+        Engine::Counting => ("counting", 1),
+        Engine::ATree => ("atree", 1),
+        Engine::Sharded(shards) => ("sharded", shards),
+    };
+    let width = if cell.population == Population::Narrow {
+        NARROW_WIDTH
+    } else {
+        FULL_WIDTH
+    };
+    let mut values = vec![
+        ("workload", text(cell.population.name())),
+        ("mode", text(cell.mode)),
+        ("engine", text(engine_name)),
+        ("subscriptions", cell.subscriptions.to_string()),
+        ("indexed", engine.len().to_string()),
+        ("event_width", width.to_string()),
+        ("shards", shards.to_string()),
+        ("batch_size", cell.batch.to_string()),
+        ("events", events.len().to_string()),
+        ("passes", cell.passes.to_string()),
+        (
+            "matches_per_pass",
+            (matches / cell.passes as u64).to_string(),
+        ),
+        ("killed_by_prefilter", stats.killed_by_prefilter.to_string()),
+        ("stage2_candidates", stats.stage2_candidates.to_string()),
+        ("subs_simplified", registration.subs_simplified.to_string()),
+        (
+            "nodes_eliminated",
+            registration.nodes_eliminated.to_string(),
+        ),
+        (
+            "unsatisfiable_rejected",
+            registration.unsatisfiable_rejected.to_string(),
+        ),
+        ("subscribe_bytes", subscribe_bytes.to_string()),
+        ("ns_per_event", fixed(ns_per_event)),
+        ("events_per_sec", fixed(1e9 / ns_per_event.max(1e-9))),
+        // The stored subscription structure: the counting engine's trees
+        // or the A-Tree's DAG slab.
+        ("memory_bytes", report.tree_bytes.to_string()),
+        (
+            "bytes_per_sub",
+            fixed(report.tree_bytes as f64 / cell.subscriptions as f64),
+        ),
+        ("associations", report.association_count.to_string()),
+        ("dag_nodes", stats.dag_nodes.to_string()),
+        ("shared_subtrees", stats.shared_subtrees.to_string()),
+        ("node_evals_saved", stats.node_evals_saved.to_string()),
+    ];
+    values.extend(overhead.map(|(key, ns)| (key, fixed(ns))));
+    let input = (cell.population.name(), cell.subscriptions, events.len());
+    Row {
+        output: Some((input, digest.digest)),
+        ..Row::new(cell.series, values)
+    }
+}
+
+/// Each subscription wrapped in structure the analyzer removes without
+/// changing what it matches (duplicated subtrees, an absorption, a
+/// redundant range pair), and every 20th replaced by a contradiction.
+fn redundant_subs(base: &[Subscription]) -> Vec<Subscription> {
+    use pubsub_core::Expr;
+    base.iter()
+        .enumerate()
+        .map(|(i, sub)| {
+            let expr = sub.tree().to_expr();
+            let (gt, lt) = (
+                |v: i64| Expr::gt("panel_pad", v),
+                |v: i64| Expr::lt("panel_pad", v),
+            );
+            let wrapped = match (i % 20 == 19, i % 3) {
+                (true, _) => Expr::and(vec![expr, gt(5), lt(3)]),
+                (false, 0) => Expr::and(vec![expr.clone(), expr]),
+                (false, 1) => Expr::or(vec![expr.clone(), Expr::and(vec![expr, gt(0)])]),
+                _ => Expr::and(vec![expr, gt(1), gt(3)]),
+            };
+            Subscription::from_expr(sub.id(), sub.subscriber(), &wrapped)
+        })
+        .collect()
+}
+
+/// `count` subscriptions cycling the base expressions under fresh ids:
+/// the repeated popular filter shapes of very large populations, which the
+/// A-Tree's hash-consed DAG shares.
+fn shared_population(base: &[Subscription], count: usize) -> Vec<Subscription> {
+    (0..count)
+        .map(|i| {
+            Subscription::from_expr(
+                SubscriptionId::from_raw(1 + i as u64),
+                SubscriberId::from_raw(1 + (i % 64) as u64),
+                &base[i % base.len()].tree().to_expr(),
+            )
+        })
+        .collect()
+}
+
+/// The durable-log cells: the subscribe path of a broker without
+/// neighbours (analyze + index + append) with the journal off and on, then
+/// replay of the log into a fresh broker (recovery's step 0).
+fn measure_durability(subscriptions: &[Subscription], passes: usize) -> Vec<Row> {
+    let home = BrokerId::from_raw(0);
+    // A pass takes a few ms, so host noise swamps a mean over 2-3 passes:
+    // run more and keep the fastest. The modes alternate pass by pass, so
+    // frequency drift hits both alike.
+    let passes = (passes * 8).max(20);
+    let mut best = [f64::INFINITY; 3];
+    let mut journal = None;
+    for _ in 0..passes {
+        for on in [false, true] {
+            let mut broker = Broker::new(home, Vec::new());
+            if on {
+                // No compaction: the cell measures the pure append cost.
+                let config = DurabilityConfig::new().with_compact_every(0);
+                broker.attach_durable_log(DurableLog::in_memory(config));
+            }
+            let start = Instant::now();
+            for subscription in subscriptions {
+                let subscription = subscription.clone();
+                broker.handle_message(&WireMessage::Subscribe { subscription }, None);
+            }
+            best[on as usize] = best[on as usize].min(start.elapsed().as_nanos() as f64);
+            if on {
+                journal = broker.take_durable_log();
+            }
+        }
+    }
+    let log_bytes = journal.as_ref().map_or(0, |log| log.stats().log_bytes);
+    let mut replayed = 0;
+    for _ in 0..passes {
+        let mut fresh = Broker::new(home, Vec::new());
+        fresh.attach_durable_log(journal.take().expect("the journal round-trips"));
+        let start = Instant::now();
+        replayed = fresh.recover();
+        best[2] = best[2].min(start.elapsed().as_nanos() as f64);
+        journal = fresh.take_durable_log();
+    }
+    let subs = subscriptions.len() as u64;
+    let row = |mode, ns: f64, ops: u64, log_bytes: u64, replayed: u64| {
+        let values = vec![
+            ("mode", text(mode)),
+            ("subscriptions", subs.to_string()),
+            ("passes", passes.to_string()),
+            ("ns_per_op", fixed(ns / ops.max(1) as f64)),
+            ("total_ms", format!("{:.2}", ns / 1e6)),
+            ("log_bytes", log_bytes.to_string()),
+            ("records_replayed", replayed.to_string()),
+        ];
+        Row::new("durability_results", values)
+    };
+    vec![
+        row("journal_off", best[0], subs, 0, 0),
+        row("journal_on", best[1], subs, log_bytes, 0),
+        row("replay", best[2], replayed, log_bytes, replayed),
+    ]
+}
+
+/// A lossy line (20% drop, 10% duplication, 10% corruption, reordering)
+/// with a crash/restart of the middle broker, through the reliable
+/// simulation: its `NetworkStats` show the fault counters at work.
+fn reliability_probe(seed: u64) -> Row {
     let topology = Topology::line(3);
     let mut transport = FaultyTransport::new(Box::new(ChannelTransport::new()));
     for (a, b) in topology.links() {
-        transport.set_link_plan(
-            a,
-            b,
-            FaultPlan::new(seed ^ ((a.raw() as u64) << 16) ^ b.raw() as u64)
-                .with_drop(0.2)
-                .with_duplicate(0.1)
-                .with_corrupt(0.1)
-                .with_reorder(4),
-        );
+        let plan = FaultPlan::new(seed ^ ((a.raw() as u64) << 16) ^ b.raw() as u64)
+            .with_drop(0.2)
+            .with_duplicate(0.1)
+            .with_corrupt(0.1)
+            .with_reorder(4);
+        transport.set_link_plan(a, b, plan);
     }
     let config = SimulationConfig::new(topology).with_reliability(true);
     let mut sim = Simulation::with_transport(config, Box::new(transport));
@@ -699,1177 +729,425 @@ fn reliability_probe(seed: u64) -> NetworkStats {
         .chunks(64)
         .map(|chunk| chunk.iter().cloned().collect())
         .collect();
+    let middle = BrokerId::from_raw(1);
     let _ = sim.publish_batch(&batches[0]);
-    sim.crash_broker(BrokerId::from_raw(1));
+    sim.crash_broker(middle);
     let _ = sim.publish_batch(&batches[1]);
-    sim.restart_broker(BrokerId::from_raw(1));
+    sim.restart_broker(middle);
     let _ = sim.publish_batch(&batches[2]);
-    sim.network_stats().clone()
+    let s = sim.network_stats();
+    Row::new(
+        "reliability_stats",
+        vec![
+            ("frames", s.frames.to_string()),
+            ("retransmits", s.retransmits.to_string()),
+            ("dup_suppressed", s.dup_suppressed.to_string()),
+            ("corrupt_dropped", s.corrupt_dropped.to_string()),
+            ("resyncs", s.resyncs.to_string()),
+            ("decode_errors", s.decode_errors.to_string()),
+            ("queue_drops", s.queue_drops.to_string()),
+        ],
+    )
 }
 
-/// Measures the durable-log cells: the broker subscribe path with the
-/// journal off and on, then log replay into a fresh broker. The broker has
-/// no neighbors, so the timed loop is analyze + index + (journal append) —
-/// no flood or subsumption work muddies the append measurement.
-fn measure_durability(subscriptions: &[Subscription], passes: usize) -> Vec<DurabilityPanelResult> {
-    let home = BrokerId::from_raw(0);
-    // Registration passes are short (a few ms), so host noise swamps a
-    // mean over the panel's usual 2-3 passes; run more and keep the
-    // fastest pass, the standard microbenchmark noise cut. The on/off
-    // ratio feeds a CI gate and must be stable run to run.
-    let passes = (passes * 8).max(20);
-    let mut results = Vec::new();
-    let mut replay_source = None;
-    // The two registration modes are interleaved pass by pass, so host
-    // frequency drift hits both equally instead of biasing the ratio.
-    let mut best = [f64::INFINITY; 2];
-    let mut log_bytes = 0;
-    for _ in 0..passes {
-        for journal in [false, true] {
-            let mut broker = Broker::new(home, Vec::new());
-            if journal {
-                // `compact_every(0)` disables compaction: the cell measures
-                // the pure append cost of the steady-state subscribe path.
-                broker.attach_durable_log(DurableLog::in_memory(
-                    DurabilityConfig::new().with_compact_every(0),
-                ));
-            }
-            let start = Instant::now();
-            for subscription in subscriptions {
-                broker.handle_message(
-                    &WireMessage::Subscribe {
-                        subscription: subscription.clone(),
-                    },
-                    None,
-                );
-            }
-            let elapsed = start.elapsed().as_nanos() as f64;
-            best[journal as usize] = best[journal as usize].min(elapsed);
-            if journal {
-                let log = broker.take_durable_log().expect("journal was attached");
-                log_bytes = log.stats().log_bytes;
-                replay_source = Some(log);
+/// Every series in JSON order (`"name: columns"`), with the columns each
+/// row carries. The probe's single row is written as an object.
+const SERIES: &[&str] = &[
+    "results: engine subscriptions event_width events passes matches_per_pass ns_per_event \
+     events_per_sec",
+    "batch_results: engine subscriptions event_width batch_size events passes matches_per_pass \
+     ns_per_event events_per_sec",
+    "wire_results: engine subscriptions event_width batch_size events passes matches_per_pass \
+     ns_per_event events_per_sec codec_ns_per_event",
+    "reliable_results: subscriptions batch_size events passes matches_per_pass ns_per_event \
+     events_per_sec framing_ns_per_event",
+    "reliability_stats: frames retransmits dup_suppressed corrupt_dropped resyncs decode_errors \
+     queue_drops",
+    "durability_results: mode subscriptions passes ns_per_op total_ms log_bytes records_replayed",
+    "sharded_results: engine subscriptions event_width shards batch_size events passes \
+     matches_per_pass ns_per_event events_per_sec",
+    "prefilter_results: workload mode subscriptions batch_size events passes matches_per_pass \
+     killed_by_prefilter stage2_candidates ns_per_event events_per_sec",
+    "analysis_results: workload mode subscriptions indexed batch_size events passes \
+     matches_per_pass stage2_candidates subs_simplified nodes_eliminated unsatisfiable_rejected \
+     subscribe_bytes ns_per_event events_per_sec",
+    "atree_results: engine workload subscriptions batch_size events passes matches_per_pass \
+     ns_per_event events_per_sec memory_bytes bytes_per_sub associations dag_nodes dag_edges \
+     shared_subtrees node_evals_saved",
+];
+
+/// The series `row` belongs to, and the columns it writes.
+fn series_of(row: &Row) -> (&'static str, &'static str) {
+    SERIES
+        .iter()
+        .filter_map(|s| s.split_once(": "))
+        .find(|(name, _)| *name == row.series)
+        .expect("every row belongs to a series")
+}
+
+/// How a figure combines its numerator `a` and denominator `b`.
+#[derive(Clone, Copy)]
+enum Form {
+    /// `a / b`.
+    Ratio,
+    /// `100 a / b`.
+    Pct,
+    /// `100 (a / b - 1)`: how much slower `a` is than `b`.
+    Overhead,
+    /// `100 (1 - a / b)`: how much of `b` the `a` cell removed.
+    Reduction,
+}
+
+/// A condensed figure: its name, its cells (`"numerator / denominator"`,
+/// each `"series key=value ... metric"`; of several matching rows the one
+/// with the most subscriptions, then the largest batch), how they combine,
+/// and the bounds (`"op number"`) it must meet in the given modes. A figure
+/// is written after its numerator's series.
+type Figure = (
+    &'static str,
+    &'static str,
+    Form,
+    &'static [(&'static [Mode], &'static str)],
+);
+
+/// Overheads divide by the pure-match batch cell at the largest batch, so
+/// the codec and reliability figures compare directly.
+const FIGURES: &[Figure] = &[
+    (
+        "codec_overhead_pct",
+        "wire_results codec_ns_per_event / batch_results ns_per_event",
+        Form::Pct,
+        &[(QUICK, "> 0"), (WIRE, "< 15")],
+    ),
+    (
+        "reliability_overhead_pct",
+        "reliable_results framing_ns_per_event / batch_results ns_per_event",
+        Form::Pct,
+        &[(WIRE, "< 15")],
+    ),
+    (
+        "durability_overhead_pct",
+        "durability_results mode=journal_on ns_per_op \
+         / durability_results mode=journal_off ns_per_op",
+        Form::Overhead,
+        &[(WIRE, "< 15")],
+    ),
+    (
+        "prefilter_speedup_hot_key",
+        "prefilter_results workload=hot_key mode=off ns_per_event \
+         / prefilter_results workload=hot_key mode=on ns_per_event",
+        Form::Ratio,
+        &[],
+    ),
+    // Stage 0 may only buy speed: at most 5% slower on the uniform cell.
+    (
+        "prefilter_overhead_uniform_pct",
+        "prefilter_results workload=uniform mode=on ns_per_event \
+         / prefilter_results workload=uniform mode=off ns_per_event",
+        Form::Overhead,
+        &[(QUICK, "<= 5")],
+    ),
+    // Analysis must shrink the redundant cell's stage-2 volume and its
+    // subscribe traffic.
+    (
+        "analysis_stage2_reduction_pct",
+        "analysis_results workload=redundant mode=on stage2_candidates \
+         / analysis_results workload=redundant mode=off stage2_candidates",
+        Form::Reduction,
+        &[(ALL, "> 0")],
+    ),
+    (
+        "analysis_subscribe_bytes_reduction_pct",
+        "analysis_results workload=redundant mode=on subscribe_bytes \
+         / analysis_results workload=redundant mode=off subscribe_bytes",
+        Form::Reduction,
+        &[(ALL, "> 0")],
+    ),
+    (
+        "atree_memory_per_sub_vs_counting_pct",
+        "atree_results workload=shared engine=atree bytes_per_sub \
+         / atree_results workload=shared engine=counting bytes_per_sub",
+        Form::Pct,
+        &[(QUICK, "> 0"), (QUICK, "< 100")],
+    ),
+    // The A-Tree's losing case: time per event on the paper's workload.
+    (
+        "atree_auction_ns_vs_counting_pct",
+        "atree_results workload=auction engine=atree ns_per_event \
+         / atree_results workload=auction engine=counting ns_per_event",
+        Form::Pct,
+        &[],
+    ),
+];
+
+/// A figure's value, or `None` if a cell is missing or the denominator is 0.
+fn figure_value(rows: &[Row], &(_, cells, form, _): &Figure) -> Option<f64> {
+    let pick = |spec: &'static str| {
+        let (cell, metric) = spec.trim().rsplit_once(' ')?;
+        let row = select(rows, cell).max_by(|a, b| {
+            let by = |key| a.num(key).total_cmp(&b.num(key));
+            by("subscriptions").then(by("batch_size"))
+        })?;
+        Some(row.num(metric))
+    };
+    let (num, den) = cells.split_once(" / ")?;
+    let (a, b) = (pick(num)?, pick(den)?);
+    (b > 0.0).then(|| match form {
+        Form::Ratio => a / b,
+        Form::Pct => 100.0 * a / b,
+        Form::Overhead => 100.0 * (a / b - 1.0),
+        Form::Reduction => 100.0 * (1.0 - a / b),
+    })
+}
+
+/// `"series key=value ...: metrics op operand"`, the metrics one or a
+/// `+`-joined sum and the operand a number, another metric or (after `==`
+/// on a text key) a text: the selector must select a row, and every
+/// selected row must meet the condition (if there is one).
+const RULES: &[&str] = &[
+    "batch_results batch_size=1",
+    "batch_results batch_size=16",
+    "wire_results: codec_ns_per_event < ns_per_event",
+    "reliable_results: framing_ns_per_event < ns_per_event",
+    "sharded_results shards=1",
+    "sharded_results: engine == sharded",
+    // Stage 0 kills candidates only when on.
+    "prefilter_results workload=uniform mode=on: killed_by_prefilter > 0",
+    "prefilter_results workload=hot_key mode=on: killed_by_prefilter > 0",
+    "prefilter_results workload=uniform mode=off: killed_by_prefilter == 0",
+    "prefilter_results workload=hot_key mode=off: killed_by_prefilter == 0",
+    // With analysis off nothing is rejected and everything is indexed.
+    "analysis_results mode=off: unsatisfiable_rejected == 0",
+    "analysis_results mode=off: indexed == subscriptions",
+    // Every offered subscription is indexed or rejected as unsatisfiable.
+    "analysis_results: indexed+unsatisfiable_rejected == subscriptions",
+    "analysis_results workload=redundant mode=on: unsatisfiable_rejected > 0",
+    "analysis_results workload=redundant mode=on: subs_simplified > 0",
+    "durability_results mode=journal_off: log_bytes == 0",
+    "durability_results mode=journal_on: log_bytes > 0",
+    "durability_results mode=replay: records_replayed == subscriptions",
+    "atree_results: memory_bytes > 0",
+    "atree_results engine=counting: dag_nodes == 0",
+    "atree_results workload=shared engine=atree: shared_subtrees > 0",
+    "atree_results workload=auction engine=atree",
+    "atree_results workload=auction engine=counting",
+    // The lossy probe exercises every fault counter, resyncs once after
+    // its one crash/restart, and no corrupt frame reaches the codec.
+    "reliability_stats: retransmits > 0",
+    "reliability_stats: dup_suppressed > 0",
+    "reliability_stats: corrupt_dropped > 0",
+    "reliability_stats: resyncs == 1",
+    "reliability_stats: decode_errors == 0",
+];
+
+/// `"series keys: combinations"`: the series' rows carry exactly these
+/// combinations of the keys' values (`/`-joined), no more and no fewer.
+const CELL_SETS: &[&str] = &[
+    "prefilter_results workload mode: uniform/on uniform/off hot_key/on hot_key/off",
+    "analysis_results workload mode: uniform/on uniform/off redundant/on redundant/off",
+    "durability_results mode: journal_off journal_on replay",
+    "atree_results engine: counting atree",
+];
+
+/// The [`RULES`] of `--wire-check` only: its overhead figures are taken at
+/// batch 256.
+const WIRE_RULES: &[&str] = &[
+    "wire_results batch_size=256",
+    "reliable_results batch_size=256",
+];
+
+/// Whether `a op b` holds for a condition operator.
+fn holds(a: f64, op: &str, b: f64) -> bool {
+    match op {
+        "==" => a == b,
+        "<" => a < b,
+        "<=" => a <= b,
+        ">" => a > b,
+        _ => unreachable!("unknown operator {op}"),
+    }
+}
+
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Every assertion the panel makes about its own rows; returns the failures.
+fn check(mode: Mode, rows: &[Row]) -> Vec<String> {
+    let mut failures = Vec::new();
+    if host_parallelism() < 1 {
+        failures.push("host_parallelism < 1".to_owned());
+    }
+    for (series, columns) in SERIES.iter().filter_map(|s| s.split_once(": ")) {
+        if select(rows, series).next().is_none() {
+            failures.push(format!("{series} is empty"));
+        }
+        for row in select(rows, series) {
+            for column in columns.split_whitespace().filter(|c| row.get(c).is_none()) {
+                failures.push(format!("a {series} row misses {column}"));
             }
         }
     }
-    for journal in [false, true] {
-        results.push(DurabilityPanelResult {
-            mode: if journal { "journal_on" } else { "journal_off" },
-            subscriptions: subscriptions.len(),
-            passes,
-            ns_per_op: best[journal as usize] / subscriptions.len().max(1) as f64,
-            total_ms: best[journal as usize] / 1e6,
-            log_bytes: if journal { log_bytes } else { 0 },
-            records_replayed: 0,
-        });
-    }
-    // Replay: recovery's step 0 — a fresh broker rebuilds its routing
-    // table from the log alone, exactly what a restart with zero live
-    // neighbors leans on.
-    let mut journal = replay_source;
-    let log_bytes = journal.as_ref().map_or(0, |j| j.stats().log_bytes);
-    let mut best = f64::INFINITY;
-    let mut replayed = 0;
-    for _ in 0..passes {
-        let mut fresh = Broker::new(home, Vec::new());
-        fresh.attach_durable_log(journal.take().expect("the journal round-trips"));
-        let start = Instant::now();
-        replayed = fresh.recover();
-        best = best.min(start.elapsed().as_nanos() as f64);
-        journal = fresh.take_durable_log();
-    }
-    results.push(DurabilityPanelResult {
-        mode: "replay",
-        subscriptions: subscriptions.len(),
-        passes,
-        ns_per_op: best / replayed.max(1) as f64,
-        total_ms: best / 1e6,
-        log_bytes,
-        records_replayed: replayed,
-    });
-    results
-}
-
-/// Measures one pre-filter cell: the counting engine with the stage-0
-/// pre-filter forced to `mode`, over pre-chunked batches. The `on` cells get
-/// a discrimination hint sampled from the workload's own events (the
-/// selectivity-driven configuration a broker would run with). Stage counters
-/// are reset after warm-up so they cover exactly the timed passes.
-fn measure_prefilter(
-    workload: &'static str,
-    mode: PrefilterMode,
-    subscriptions: &[Subscription],
-    events: &[EventMessage],
-    batch_size: usize,
-    passes: usize,
-) -> PrefilterPanelResult {
-    let batches: Vec<EventBatch> = events
-        .chunks(batch_size)
-        .map(|chunk| chunk.iter().cloned().collect())
-        .collect();
-    let mut engine = CountingEngine::with_config_and_capacity(
-        EngineConfig::with_prefilter(mode),
-        subscriptions.len(),
-    );
-    if mode == PrefilterMode::On {
-        let sample = &events[..events.len().min(500)];
-        engine.set_discrimination_hint(Some(DiscriminationHint::from_events(sample)));
-    }
-    for s in subscriptions {
-        engine.insert(s.clone());
-    }
-    let mut sink = CountSink::new();
-    for batch in &batches {
-        engine.match_batch(batch, &mut sink);
-    }
-    engine.reset_stats();
-    let total_events: usize = batches.iter().map(EventBatch::len).sum();
-    let start = Instant::now();
-    let mut matches = 0usize;
-    for _ in 0..passes {
-        for batch in &batches {
-            engine.match_batch(batch, &mut sink);
-            matches += sink.count() as usize;
+    // Same input, same output: cells over the same subscriptions and events
+    // (single-event and batched, naive and counting, pre-filter and analysis
+    // on and off, A-Tree and counting) emit the same matches per pass.
+    let describe = |r: &Row| format!("{} {}", r.series, render_row(r, "workload mode engine"));
+    for row in rows.iter().filter(|r| r.output.is_some()) {
+        let input = row.output.map(|(input, _)| input);
+        let first = rows.iter().find(|r| r.output.map(|(i, _)| i) == input);
+        if let Some(first) = first.filter(|f| {
+            f.output != row.output || f.num("matches_per_pass") != row.num("matches_per_pass")
+        }) {
+            let (this, that) = (describe(row), describe(first));
+            failures.push(format!("{this} disagrees with {that}"));
         }
     }
-    let elapsed = start.elapsed();
-    let ns_per_event = elapsed.as_nanos() as f64 / (passes * total_events) as f64;
-    let stats = engine.stats();
-    PrefilterPanelResult {
-        workload,
-        mode: match mode {
-            PrefilterMode::On => "on",
-            _ => "off",
-        },
-        subscriptions: subscriptions.len(),
-        batch_size,
-        events: events.len(),
-        passes,
-        matches_per_pass: matches / passes.max(1),
-        killed_by_prefilter: stats.killed_by_prefilter,
-        stage2_candidates: stats.stage2_candidates,
-        ns_per_event,
-        events_per_sec: 1e9 / ns_per_event.max(1e-9),
+    for &rule in RULES
+        .iter()
+        .chain(WIRE_RULES.iter().filter(|_| mode == Mode::WireCheck))
+    {
+        let (cells, condition) = rule.split_once(": ").unwrap_or((rule, ""));
+        if select(rows, cells).next().is_none() {
+            failures.push(format!("no {cells} cell"));
+        }
+        if let [lhs, op, rhs] = condition.split_whitespace().collect::<Vec<_>>()[..] {
+            for row in select(rows, cells).filter(|row| !row.meets(lhs, op, rhs)) {
+                let values = render_row(row, &lhs.replace('+', " "));
+                failures.push(format!("{rule} fails: {values}"));
+            }
+        }
     }
-}
-
-/// The redundancy-heavy analysis workload: each subscription wrapped in
-/// structure the analyzer can remove without changing semantics relative to
-/// the wrapped form — duplicated subtrees, an absorption pattern, and a
-/// redundant range pair — and every 20th replaced by a contradiction (the
-/// ~5% unsatisfiable slice a registration-time check should catch).
-fn redundant_subs(base: &[Subscription]) -> Vec<Subscription> {
-    use pubsub_core::Expr;
-    base.iter()
-        .enumerate()
-        .map(|(i, sub)| {
-            let expr = sub.tree().to_expr();
-            let wrapped = if i % 20 == 19 {
-                Expr::and(vec![
-                    expr,
-                    Expr::gt("panel_pad", 5i64),
-                    Expr::lt("panel_pad", 3i64),
-                ])
-            } else {
-                match i % 3 {
-                    0 => Expr::and(vec![expr.clone(), expr]),
-                    1 => Expr::or(vec![
-                        expr.clone(),
-                        Expr::and(vec![expr, Expr::gt("panel_pad", 0i64)]),
-                    ]),
-                    _ => Expr::and(vec![
-                        expr,
-                        Expr::gt("panel_pad", 1i64),
-                        Expr::gt("panel_pad", 3i64),
-                    ]),
-                }
-            };
-            Subscription::from_expr(sub.id(), sub.subscriber(), &wrapped)
-        })
-        .collect()
-}
-
-/// Measures one subscription-analysis cell: the counting engine with the
-/// registration-time analyzer forced to `mode`. Registration counters are
-/// captured right after the inserts; the subscribe-byte figure encodes one
-/// `Subscribe` frame per *stored* subscription, so the `on` cells price the
-/// normalized trees a broker would actually flood.
-fn measure_analysis(
-    workload: &'static str,
-    mode: AnalyzeMode,
-    subscriptions: &[Subscription],
-    events: &[EventMessage],
-    batch_size: usize,
-    passes: usize,
-) -> AnalysisPanelResult {
-    use broker::wire::WireMessage;
-    let batches: Vec<EventBatch> = events
-        .chunks(batch_size)
-        .map(|chunk| chunk.iter().cloned().collect())
-        .collect();
-    let mut engine = CountingEngine::with_config_and_capacity(
-        EngineConfig::default().analyze(mode),
-        subscriptions.len(),
-    );
-    for s in subscriptions {
-        engine.insert(s.clone());
+    for spec in CELL_SETS {
+        let (head, want) = spec.split_once(": ").expect("`series keys: values`");
+        let (series, keys) = head.split_once(' ').expect("a cell set names its keys");
+        let label = |r: &Row| {
+            let values = keys
+                .split(' ')
+                .map(|k| r.get(k).unwrap_or("").trim_matches('"'));
+            values.collect::<Vec<_>>().join("/")
+        };
+        let got: BTreeSet<String> = select(rows, series).map(label).collect();
+        if got != want.split(' ').map(str::to_owned).collect() {
+            failures.push(format!("{series} holds {got:?}, not {want}"));
+        }
     }
-    let registration = *engine.stats();
-    let mut codec = Codec::new();
-    let mut frame = Vec::new();
-    let mut subscribe_bytes = 0u64;
-    let mut indexed = 0usize;
-    for s in subscriptions {
-        let Some(stored) = engine.get(s.id()) else {
+    for figure @ &(name, _, _, bounds) in FIGURES {
+        let Some(value) = figure_value(rows, figure) else {
+            failures.push(format!("{name} cannot be computed"));
             continue;
         };
-        indexed += 1;
-        let message = WireMessage::Subscribe {
-            subscription: stored.clone(),
-        };
-        subscribe_bytes += codec.encode_into(&message, &mut frame) as u64;
-    }
-    let mut sink = CountSink::new();
-    for batch in &batches {
-        engine.match_batch(batch, &mut sink);
-    }
-    engine.reset_stats();
-    let total_events: usize = batches.iter().map(EventBatch::len).sum();
-    let start = Instant::now();
-    let mut matches = 0usize;
-    for _ in 0..passes {
-        for batch in &batches {
-            engine.match_batch(batch, &mut sink);
-            matches += sink.count() as usize;
+        for &(_, bound) in bounds.iter().filter(|(modes, _)| modes.contains(&mode)) {
+            let (op, b) = bound.split_once(' ').expect("a bound reads `op number`");
+            if !holds(value, op, b.parse().expect("a bound is a number")) {
+                failures.push(format!("{name} = {value:.2} breaks {bound}"));
+            }
         }
     }
-    let elapsed = start.elapsed();
-    let ns_per_event = elapsed.as_nanos() as f64 / (passes * total_events) as f64;
-    AnalysisPanelResult {
-        workload,
-        mode: match mode {
-            AnalyzeMode::On => "on",
-            AnalyzeMode::Off => "off",
-        },
-        subscriptions: subscriptions.len(),
-        indexed,
-        batch_size,
-        events: events.len(),
-        passes,
-        matches_per_pass: matches / passes.max(1),
-        stage2_candidates: engine.stats().stage2_candidates,
-        subs_simplified: registration.subs_simplified,
-        nodes_eliminated: registration.nodes_eliminated,
-        unsatisfiable_rejected: registration.unsatisfiable_rejected,
-        subscribe_bytes,
-        ns_per_event,
-        events_per_sec: 1e9 / ns_per_event.max(1e-9),
-    }
+    failures
 }
 
-/// A redundancy-heavy population of `count` subscriptions built by cycling
-/// the base workload's expressions under fresh subscription ids. Very large
-/// real populations repeat popular filter shapes; the cycling reproduces
-/// that regime, which is exactly the sharing the A-Tree's hash-consed DAG
-/// exploits (and what a non-zero `shared_subtrees` gauge witnesses).
-fn shared_population(base: &[Subscription], count: usize) -> Vec<Subscription> {
-    (0..count)
-        .map(|i| {
-            let source = &base[i % base.len()];
-            Subscription::from_expr(
-                SubscriptionId::from_raw(1 + i as u64),
-                SubscriberId::from_raw(1 + (i % 64) as u64),
-                &source.tree().to_expr(),
-            )
-        })
-        .collect()
-}
-
-/// Measures one A-Tree cell: the counting engine and the A-Tree engine over
-/// the same redundancy-heavy population, returned as a `[counting, atree]`
-/// pair. Before timing, the two engines' match streams are asserted
-/// identical event by event over the leading batches — a recorded cell is a
-/// correctness witness, not just a number.
-fn measure_atree(
-    base: &[Subscription],
-    events: &[EventMessage],
-    count: usize,
-    batch_size: usize,
-    passes: usize,
-) -> Vec<AtreePanelResult> {
-    let subs = shared_population(base, count);
-    let batches: Vec<EventBatch> = events
-        .chunks(batch_size)
-        .map(|chunk| chunk.iter().cloned().collect())
-        .collect();
-    let mut counting = CountingEngine::with_capacity(count);
-    let mut atree = ATreeEngine::with_capacity(count);
-    for s in &subs {
-        counting.insert(s.clone());
-        atree.insert(s.clone());
+/// `{"key": value, ...}` over `columns`, in column order.
+fn render_row(row: &Row, columns: &str) -> String {
+    let mut out = String::from("{");
+    for (i, column) in columns.split_whitespace().enumerate() {
+        out.push_str(&format!("{}\"{column}\": ", if i > 0 { ", " } else { "" }));
+        // A missing column fails `check`; keep the JSON valid meanwhile.
+        out.push_str(row.get(column).unwrap_or("\"missing\""));
     }
-
-    // Differential check (doubles as warm-up): identical match streams on
-    // the leading batches. Two batches bound the check's memory at the
-    // million-subscription cell while still covering the batch-probe path.
-    let mut expected = PerEventSink::new();
-    let mut got = PerEventSink::new();
-    for batch in batches.iter().take(2) {
-        counting.match_batch(batch, &mut expected);
-        atree.match_batch(batch, &mut got);
-        assert_eq!(expected.len(), got.len());
-        for i in 0..batch.len() {
-            assert_eq!(
-                expected.for_event(i),
-                got.for_event(i),
-                "atree diverged from counting at {count} subscriptions, event {i}"
-            );
-        }
-    }
-
-    counting.reset_stats();
-    atree.reset_stats();
-    let (counting_matches, counting_ns) = time_engine_batched(&mut counting, &batches, passes);
-    let (atree_matches, atree_ns) = time_engine_batched(&mut atree, &batches, passes);
-    assert_eq!(
-        counting_matches, atree_matches,
-        "atree match count diverged at {count} subscriptions"
-    );
-
-    let memory = atree.memory();
-    let atree_stats = *atree.stats();
-    assert!(
-        atree_stats.shared_subtrees > 0,
-        "the redundant population must share subtrees"
-    );
-    let cell = |engine: &'static str,
-                matches_per_pass: usize,
-                ns_per_event: f64,
-                memory_bytes: u64,
-                associations: u64| AtreePanelResult {
-        engine,
-        subscriptions: count,
-        batch_size,
-        events: events.len(),
-        passes,
-        matches_per_pass,
-        ns_per_event,
-        events_per_sec: 1e9 / ns_per_event.max(1e-9),
-        memory_bytes,
-        bytes_per_sub: memory_bytes as f64 / count.max(1) as f64,
-        associations,
-        dag_nodes: if engine == "atree" {
-            atree_stats.dag_nodes
-        } else {
-            0
-        },
-        dag_edges: if engine == "atree" {
-            memory.edge_count as u64
-        } else {
-            0
-        },
-        shared_subtrees: if engine == "atree" {
-            atree_stats.shared_subtrees
-        } else {
-            0
-        },
-        node_evals_saved: if engine == "atree" {
-            atree_stats.node_evals_saved
-        } else {
-            0
-        },
-    };
-    let counting_report = counting.report();
-    let atree_report = atree.report();
-    vec![
-        cell(
-            "counting",
-            counting_matches,
-            counting_ns,
-            counting_report.tree_bytes as u64,
-            counting_report.association_count as u64,
-        ),
-        cell(
-            "atree",
-            atree_matches,
-            atree_ns,
-            atree_report.tree_bytes as u64,
-            atree_report.association_count as u64,
-        ),
-    ]
-}
-
-/// Measures the sharded engine over pre-chunked batches at one shard count.
-fn measure_sharded(
-    subscriptions: &[Subscription],
-    events: &[EventMessage],
-    width: usize,
-    shards: usize,
-    batch_size: usize,
-    passes: usize,
-) -> ShardedPanelResult {
-    let batches: Vec<EventBatch> = events
-        .chunks(batch_size)
-        .map(|chunk| chunk.iter().cloned().collect())
-        .collect();
-    let mut engine = ShardedEngine::with_shards_and_capacity(shards, subscriptions.len());
-    for s in subscriptions {
-        engine.insert(s.clone());
-    }
-    let (matches_per_pass, ns_per_event) = time_engine_batched(&mut engine, &batches, passes);
-    ShardedPanelResult {
-        engine: "sharded",
-        subscriptions: subscriptions.len(),
-        event_width: width,
-        shards,
-        batch_size,
-        events: events.len(),
-        passes,
-        matches_per_pass,
-        ns_per_event,
-        events_per_sec: 1e9 / ns_per_event.max(1e-9),
-    }
-}
-
-/// Prints the same-run single-vs-batch-vs-sharded comparison table to
-/// stderr. All compared cells share the subscription count, width, and
-/// event set of this run, so the ±20% run-to-run host variance (see
-/// ROADMAP) cancels out of the speedup columns — this replaces manually
-/// diffing `BENCH_matching.json` across recordings.
-fn print_comparison_table(
-    results: &[PanelResult],
-    batch_results: &[BatchPanelResult],
-    wire_results: &[WirePanelResult],
-    sharded_results: &[ShardedPanelResult],
-) {
-    // The shared cell: the largest subscription count at full width, which
-    // every series measures.
-    let subs = results
-        .iter()
-        .filter(|r| r.engine == "counting" && r.event_width == 10)
-        .map(|r| r.subscriptions)
-        .max();
-    let Some(subs) = subs else { return };
-    let Some(single) = results
-        .iter()
-        .find(|r| r.engine == "counting" && r.event_width == 10 && r.subscriptions == subs)
-    else {
-        return;
-    };
-
-    eprintln!();
-    eprintln!("same-run comparison at {subs} subscriptions / width 10 (speedup vs single-event counting; cells from other runs are not comparable):");
-    eprintln!(
-        "  {:<26} {:>14} {:>14} {:>9}",
-        "configuration", "ns/event", "events/s", "speedup"
-    );
-    let row = |label: String, ns_per_event: f64, events_per_sec: f64| {
-        eprintln!(
-            "  {:<26} {:>14.0} {:>14.0} {:>8.2}x",
-            label,
-            ns_per_event,
-            events_per_sec,
-            single.ns_per_event / ns_per_event.max(1e-9)
-        );
-    };
-    row(
-        "counting single-event".to_owned(),
-        single.ns_per_event,
-        single.events_per_sec,
-    );
-    for r in batch_results
-        .iter()
-        .filter(|r| r.subscriptions == subs && r.event_width == 10)
-    {
-        row(
-            format!("counting batch={}", r.batch_size),
-            r.ns_per_event,
-            r.events_per_sec,
-        );
-    }
-    for r in wire_results
-        .iter()
-        .filter(|r| r.subscriptions == subs && r.event_width == 10)
-    {
-        row(
-            format!("wire+match batch={}", r.batch_size),
-            r.ns_per_event,
-            r.events_per_sec,
-        );
-    }
-    for r in sharded_results
-        .iter()
-        .filter(|r| r.subscriptions == subs && r.event_width == 10)
-    {
-        row(
-            format!("sharded shards={} batch={}", r.shards, r.batch_size),
-            r.ns_per_event,
-            r.events_per_sec,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // one parameter per JSON series
-fn render_json(
-    config: &PanelConfig,
-    results: &[PanelResult],
-    batch_results: &[BatchPanelResult],
-    wire_results: &[WirePanelResult],
-    reliable: &ReliablePanel,
-    durability_results: &[DurabilityPanelResult],
-    sharded_results: &[ShardedPanelResult],
-    prefilter_results: &[PrefilterPanelResult],
-    analysis_results: &[AnalysisPanelResult],
-    atree_results: &[AtreePanelResult],
-) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"matching\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", config.seed));
-    out.push_str(&format!("  \"quick\": {},\n", config.quick));
-    out.push_str(&format!("  \"wire_check\": {},\n", config.wire_check));
-    out.push_str(&format!("  \"deep\": {},\n", config.deep));
-    out.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"engine\": \"{}\", \"subscriptions\": {}, ",
-                "\"event_width\": {}, \"events\": {}, \"passes\": {}, ",
-                "\"matches_per_pass\": {}, \"ns_per_event\": {:.1}, ",
-                "\"events_per_sec\": {:.1}}}{}\n"
-            ),
-            r.engine,
-            r.subscriptions,
-            r.event_width,
-            r.events,
-            r.passes,
-            r.matches_per_pass,
-            r.ns_per_event,
-            r.events_per_sec,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"batch_results\": [\n");
-    for (i, r) in batch_results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"engine\": \"{}\", \"subscriptions\": {}, ",
-                "\"event_width\": {}, \"batch_size\": {}, \"events\": {}, ",
-                "\"passes\": {}, \"matches_per_pass\": {}, ",
-                "\"ns_per_event\": {:.1}, \"events_per_sec\": {:.1}}}{}\n"
-            ),
-            r.engine,
-            r.subscriptions,
-            r.event_width,
-            r.batch_size,
-            r.events,
-            r.passes,
-            r.matches_per_pass,
-            r.ns_per_event,
-            r.events_per_sec,
-            if i + 1 == batch_results.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    // The codec overhead at the largest wire batch, as a percentage of the
-    // pure-match time of the batch cell with the same batch size — the
-    // figure CI bounds.
-    let overhead_pct = wire_results
-        .iter()
-        .max_by_key(|r| r.batch_size)
-        .and_then(|wire| {
-            batch_results
-                .iter()
-                .find(|b| b.batch_size == wire.batch_size && b.subscriptions == wire.subscriptions)
-                .map(|b| 100.0 * wire.codec_ns_per_event / b.ns_per_event.max(1e-9))
-        })
-        .unwrap_or(0.0);
-    out.push_str(&format!("  \"codec_overhead_pct\": {overhead_pct:.2},\n"));
-    out.push_str("  \"wire_results\": [\n");
-    for (i, r) in wire_results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"engine\": \"{}\", \"subscriptions\": {}, ",
-                "\"event_width\": {}, \"batch_size\": {}, \"events\": {}, ",
-                "\"passes\": {}, \"matches_per_pass\": {}, ",
-                "\"ns_per_event\": {:.1}, \"events_per_sec\": {:.1}, ",
-                "\"codec_ns_per_event\": {:.1}}}{}\n"
-            ),
-            r.engine,
-            r.subscriptions,
-            r.event_width,
-            r.batch_size,
-            r.events,
-            r.passes,
-            r.matches_per_pass,
-            r.ns_per_event,
-            r.events_per_sec,
-            r.codec_ns_per_event,
-            if i + 1 == wire_results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    // The fault-free reliability overhead at the largest reliable batch: the
-    // framing figure (codec plus everything the reliable layer adds on a
-    // clean link) as a percentage of the pure-match time of the batch cell
-    // with the same batch size — the same denominator as
-    // `codec_overhead_pct`, so the two gates are directly comparable.
-    let reliability_overhead_pct = reliable
-        .results
-        .iter()
-        .max_by_key(|r| r.batch_size)
-        .and_then(|cell| {
-            batch_results
-                .iter()
-                .find(|b| b.batch_size == cell.batch_size && b.subscriptions == cell.subscriptions)
-                .map(|b| 100.0 * cell.framing_ns_per_event / b.ns_per_event.max(1e-9))
-        })
-        .unwrap_or(0.0);
-    out.push_str(&format!(
-        "  \"reliability_overhead_pct\": {reliability_overhead_pct:.2},\n"
-    ));
-    out.push_str("  \"reliable_results\": [\n");
-    for (i, r) in reliable.results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"subscriptions\": {}, \"batch_size\": {}, ",
-                "\"events\": {}, \"passes\": {}, \"matches_per_pass\": {}, ",
-                "\"ns_per_event\": {:.1}, \"events_per_sec\": {:.1}, ",
-                "\"framing_ns_per_event\": {:.1}}}{}\n"
-            ),
-            r.subscriptions,
-            r.batch_size,
-            r.events,
-            r.passes,
-            r.matches_per_pass,
-            r.ns_per_event,
-            r.events_per_sec,
-            r.framing_ns_per_event,
-            if i + 1 == reliable.results.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    // Counters from the lossy crash/restart probe — CI checks both the key
-    // names (the `NetworkStats` observability surface) and that the fault
-    // plan actually exercised them.
-    out.push_str(&format!(
-        concat!(
-            "  \"reliability_stats\": {{\"frames\": {}, \"retransmits\": {}, ",
-            "\"dup_suppressed\": {}, \"corrupt_dropped\": {}, \"resyncs\": {}, ",
-            "\"decode_errors\": {}, \"queue_drops\": {}}},\n"
-        ),
-        reliable.probe.frames,
-        reliable.probe.retransmits,
-        reliable.probe.dup_suppressed,
-        reliable.probe.corrupt_dropped,
-        reliable.probe.resyncs,
-        reliable.probe.decode_errors,
-        reliable.probe.queue_drops,
-    ));
-    out.push_str("  \"durability_results\": [\n");
-    for (i, r) in durability_results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"mode\": \"{}\", \"subscriptions\": {}, ",
-                "\"passes\": {}, \"ns_per_op\": {:.1}, \"total_ms\": {:.2}, ",
-                "\"log_bytes\": {}, \"records_replayed\": {}}}{}\n"
-            ),
-            r.mode,
-            r.subscriptions,
-            r.passes,
-            r.ns_per_op,
-            r.total_ms,
-            r.log_bytes,
-            r.records_replayed,
-            if i + 1 == durability_results.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    // The durable-log overhead on the subscribe path: journal-on vs
-    // journal-off registration time — the figure CI bounds, alongside the
-    // codec and reliability gates.
-    let durability_cell = |mode: &str| durability_results.iter().find(|r| r.mode == mode);
-    let durability_overhead_pct = match (
-        durability_cell("journal_on"),
-        durability_cell("journal_off"),
-    ) {
-        (Some(on), Some(off)) => 100.0 * (on.ns_per_op / off.ns_per_op.max(1e-9) - 1.0),
-        _ => 0.0,
-    };
-    out.push_str(&format!(
-        "  \"durability_overhead_pct\": {durability_overhead_pct:.2},\n"
-    ));
-    out.push_str("  \"sharded_results\": [\n");
-    for (i, r) in sharded_results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"engine\": \"{}\", \"subscriptions\": {}, ",
-                "\"event_width\": {}, \"shards\": {}, \"batch_size\": {}, ",
-                "\"events\": {}, \"passes\": {}, \"matches_per_pass\": {}, ",
-                "\"ns_per_event\": {:.1}, \"events_per_sec\": {:.1}}}{}\n"
-            ),
-            r.engine,
-            r.subscriptions,
-            r.event_width,
-            r.shards,
-            r.batch_size,
-            r.events,
-            r.passes,
-            r.matches_per_pass,
-            r.ns_per_event,
-            r.events_per_sec,
-            if i + 1 == sharded_results.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"prefilter_results\": [\n");
-    for (i, r) in prefilter_results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"workload\": \"{}\", \"mode\": \"{}\", ",
-                "\"subscriptions\": {}, \"batch_size\": {}, \"events\": {}, ",
-                "\"passes\": {}, \"matches_per_pass\": {}, ",
-                "\"killed_by_prefilter\": {}, \"stage2_candidates\": {}, ",
-                "\"ns_per_event\": {:.1}, \"events_per_sec\": {:.1}}}{}\n"
-            ),
-            r.workload,
-            r.mode,
-            r.subscriptions,
-            r.batch_size,
-            r.events,
-            r.passes,
-            r.matches_per_pass,
-            r.killed_by_prefilter,
-            r.stage2_candidates,
-            r.ns_per_event,
-            r.events_per_sec,
-            if i + 1 == prefilter_results.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    // The two condensed pre-filter figures CI gates on: the on-vs-off
-    // speedup on the skewed hot-key cell (should be well above 1) and the
-    // on-vs-off overhead on the uniform cell (should stay near zero).
-    let cell = |workload: &str, mode: &str| {
-        prefilter_results
-            .iter()
-            .find(|r| r.workload == workload && r.mode == mode)
-    };
-    let speedup_hot_key = match (cell("hot_key", "on"), cell("hot_key", "off")) {
-        (Some(on), Some(off)) => off.ns_per_event / on.ns_per_event.max(1e-9),
-        _ => 0.0,
-    };
-    let overhead_uniform_pct = match (cell("uniform", "on"), cell("uniform", "off")) {
-        (Some(on), Some(off)) => 100.0 * (on.ns_per_event / off.ns_per_event.max(1e-9) - 1.0),
-        _ => 0.0,
-    };
-    out.push_str(&format!(
-        "  \"prefilter_speedup_hot_key\": {speedup_hot_key:.2},\n"
-    ));
-    out.push_str(&format!(
-        "  \"prefilter_overhead_uniform_pct\": {overhead_uniform_pct:.2},\n"
-    ));
-    out.push_str("  \"analysis_results\": [\n");
-    for (i, r) in analysis_results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"workload\": \"{}\", \"mode\": \"{}\", ",
-                "\"subscriptions\": {}, \"indexed\": {}, \"batch_size\": {}, ",
-                "\"events\": {}, \"passes\": {}, \"matches_per_pass\": {}, ",
-                "\"stage2_candidates\": {}, \"subs_simplified\": {}, ",
-                "\"nodes_eliminated\": {}, \"unsatisfiable_rejected\": {}, ",
-                "\"subscribe_bytes\": {}, \"ns_per_event\": {:.1}, ",
-                "\"events_per_sec\": {:.1}}}{}\n"
-            ),
-            r.workload,
-            r.mode,
-            r.subscriptions,
-            r.indexed,
-            r.batch_size,
-            r.events,
-            r.passes,
-            r.matches_per_pass,
-            r.stage2_candidates,
-            r.subs_simplified,
-            r.nodes_eliminated,
-            r.unsatisfiable_rejected,
-            r.subscribe_bytes,
-            r.ns_per_event,
-            r.events_per_sec,
-            if i + 1 == analysis_results.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    // The two condensed analysis figures: on the redundancy-heavy cell, how
-    // much of the stage-2 probe volume and of the subscribe wire traffic the
-    // registration-time analyzer removes.
-    let analysis_cell = |workload: &str, mode: &str| {
-        analysis_results
-            .iter()
-            .find(|r| r.workload == workload && r.mode == mode)
-    };
-    let stage2_reduction_pct = match (
-        analysis_cell("redundant", "on"),
-        analysis_cell("redundant", "off"),
-    ) {
-        (Some(on), Some(off)) if off.stage2_candidates > 0 => {
-            100.0 * (1.0 - on.stage2_candidates as f64 / off.stage2_candidates as f64)
-        }
-        _ => 0.0,
-    };
-    let subscribe_bytes_reduction_pct = match (
-        analysis_cell("redundant", "on"),
-        analysis_cell("redundant", "off"),
-    ) {
-        (Some(on), Some(off)) if off.subscribe_bytes > 0 => {
-            100.0 * (1.0 - on.subscribe_bytes as f64 / off.subscribe_bytes as f64)
-        }
-        _ => 0.0,
-    };
-    out.push_str(&format!(
-        "  \"analysis_stage2_reduction_pct\": {stage2_reduction_pct:.2},\n"
-    ));
-    out.push_str(&format!(
-        "  \"analysis_subscribe_bytes_reduction_pct\": {subscribe_bytes_reduction_pct:.2},\n"
-    ));
-    out.push_str("  \"atree_results\": [\n");
-    for (i, r) in atree_results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"engine\": \"{}\", \"subscriptions\": {}, ",
-                "\"batch_size\": {}, \"events\": {}, \"passes\": {}, ",
-                "\"matches_per_pass\": {}, \"ns_per_event\": {:.1}, ",
-                "\"events_per_sec\": {:.1}, \"memory_bytes\": {}, ",
-                "\"bytes_per_sub\": {:.1}, \"associations\": {}, ",
-                "\"dag_nodes\": {}, \"dag_edges\": {}, ",
-                "\"shared_subtrees\": {}, \"node_evals_saved\": {}}}{}\n"
-            ),
-            r.engine,
-            r.subscriptions,
-            r.batch_size,
-            r.events,
-            r.passes,
-            r.matches_per_pass,
-            r.ns_per_event,
-            r.events_per_sec,
-            r.memory_bytes,
-            r.bytes_per_sub,
-            r.associations,
-            r.dag_nodes,
-            r.dag_edges,
-            r.shared_subtrees,
-            r.node_evals_saved,
-            if i + 1 == atree_results.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    // The condensed A-Tree memory figure: bytes per subscription of the
-    // A-Tree relative to the counting engine at the largest shared cell —
-    // well below 100 when the population actually shares structure.
-    let atree_cell = |engine: &str| {
-        atree_results
-            .iter()
-            .filter(|r| r.engine == engine)
-            .max_by_key(|r| r.subscriptions)
-    };
-    let memory_pct = match (atree_cell("atree"), atree_cell("counting")) {
-        (Some(atree), Some(counting)) if counting.bytes_per_sub > 0.0 => {
-            100.0 * atree.bytes_per_sub / counting.bytes_per_sub
-        }
-        _ => 0.0,
-    };
-    out.push_str(&format!(
-        "  \"atree_memory_per_sub_vs_counting_pct\": {memory_pct:.2}\n"
-    ));
-    out.push_str("}\n");
+    out.push('}');
     out
 }
 
-fn main() {
-    let config = match parse_args() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: matching_panel [--quick] [--out PATH] [--seed N]");
-            std::process::exit(2);
-        }
-    };
-    if config.out.contains('"') || config.out.contains('\\') {
-        eprintln!("error: --out path must not contain quotes or backslashes");
-        std::process::exit(2);
-    }
-
-    let (sub_counts, event_count, passes): (&[usize], usize, usize) = if config.quick {
-        (&[50, 200], 50, 2)
-    } else if config.wire_check {
-        (&[2_000], 1_024, 2)
-    } else {
-        (&[1_000, 10_000], 2_000, 3)
-    };
-    let widths: &[usize] = if config.wire_check { &[10] } else { &[10, 4] };
-
-    let mut generator = WorkloadGenerator::new(WorkloadConfig::small().with_seed(config.seed));
-    let max_subs = *sub_counts.iter().max().expect("panel has sizes");
-    let all_subs = generator.subscriptions(max_subs);
-    let full_events = generator.events(event_count);
-
-    let mut results = Vec::new();
-    for &width in widths {
-        let events = if width >= 10 {
-            full_events.clone()
+/// The document: the header, then each series followed by the figures
+/// whose numerator it holds.
+fn render_json(mode: Mode, seed: u64, rows: &[Row]) -> String {
+    let mut entries = vec![
+        "\"benchmark\": \"matching\"".to_owned(),
+        format!("\"seed\": {seed}"),
+        format!("\"mode\": \"{}\"", mode.name()),
+        format!("\"host_parallelism\": {}", host_parallelism()),
+    ];
+    for (series, columns) in SERIES.iter().filter_map(|s| s.split_once(": ")) {
+        let members: Vec<_> = select(rows, series)
+            .map(|r| render_row(r, columns))
+            .collect();
+        entries.push(if series == "reliability_stats" {
+            format!("\"{series}\": {}", members.concat())
         } else {
-            narrow_events(&full_events, width)
-        };
-        for &count in sub_counts {
-            let subs = &all_subs[..count];
-            for engine in ["counting", "naive"] {
-                let r = measure(engine, subs, &events, width, passes);
-                eprintln!(
-                    "{:>8} subs={:<6} width={:<2} {:>12.0} ns/event {:>12.0} events/s",
-                    r.engine, r.subscriptions, r.event_width, r.ns_per_event, r.events_per_sec
-                );
-                results.push(r);
+            format!("\"{series}\": [\n    {}\n  ]", members.join(",\n    "))
+        });
+        for figure in FIGURES
+            .iter()
+            .filter(|f| f.1.starts_with(&format!("{series} ")))
+        {
+            let value = figure_value(rows, figure).unwrap_or(0.0);
+            entries.push(format!("\"{}\": {value:.2}", figure.0));
+        }
+    }
+    format!("{{\n  {}\n}}\n", entries.join(",\n  "))
+}
+
+const USAGE: &str =
+    "usage: matching_panel [--quick | --wire-check | --deep] [--out PATH] [--seed N]";
+
+fn parse_args() -> Result<(Mode, String, u64), String> {
+    let (mut mode, mut out, mut seed) = (None, "BENCH_matching.json".to_owned(), 42);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let chosen = match arg.as_str() {
+            "--quick" => Mode::Quick,
+            "--wire-check" => Mode::WireCheck,
+            "--deep" => Mode::Deep,
+            "--out" => {
+                out = args.next().ok_or("--out requires a path")?;
+                continue;
             }
+            "--seed" => {
+                let value = args.next().ok_or("--seed requires a number")?;
+                seed = value.parse().map_err(|e| format!("invalid --seed: {e}"))?;
+                continue;
+            }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            other => return Err(format!("unknown argument: {other}")),
+        };
+        if mode.replace(chosen).is_some() {
+            return Err("--quick, --wire-check and --deep are exclusive".to_owned());
         }
     }
+    Ok((mode.unwrap_or(Mode::Full), out, seed))
+}
 
-    // Batched paper-scale panel: the full-width events pre-chunked into
-    // batches and driven through `match_batch` at the largest subscription
-    // count. Batch size 1 measures the batch API's fixed overhead against
-    // the single-event path above; 16 and 256 show the amortization.
-    let batch_sizes: &[usize] = if config.quick {
-        &[1, 16]
-    } else {
-        &[1, 16, 256]
-    };
-    let batch_subs = &all_subs[..max_subs];
-    let mut batch_results = Vec::new();
-    for &batch_size in batch_sizes {
-        let r = measure_batched(batch_subs, &full_events, 10, batch_size, passes);
-        eprintln!(
-            "{:>8} subs={:<6} batch={:<4} {:>12.0} ns/event {:>12.0} events/s",
-            r.engine, r.subscriptions, r.batch_size, r.ns_per_event, r.events_per_sec
-        );
-        batch_results.push(r);
+fn main() {
+    let (mode, out, seed) = parse_args().unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let sizes = mode.sizes();
+    let max_subs = *sizes.subs.iter().max().expect("the panel has sizes");
+    let data = Data::generate(seed, max_subs, sizes.events);
+    let print = |row: &Row| eprintln!("{}: {}", row.series, render_row(row, series_of(row).1));
+
+    let mut rows = Vec::new();
+    for cell in table(&sizes) {
+        rows.push(measure(&cell, &data));
+        print(&rows[rows.len() - 1]);
     }
+    rows.push(reliability_probe(seed));
+    rows.extend(measure_durability(&data.subs, sizes.passes));
+    rows[rows.len() - 4..].iter().for_each(print);
 
-    // Wire panel: the same batched workload with the wire codec in the
-    // loop — encode `PublishBatch` frame, decode into a reused batch, match
-    // — measuring what a broker hop pays end to end, plus the isolated
-    // encode+decode cost. CI asserts the codec overhead at the largest
-    // batch stays a small fraction of the match time.
-    let mut wire_results = Vec::new();
-    for &batch_size in batch_sizes {
-        let r = measure_wire(batch_subs, &full_events, 10, batch_size, passes);
-        eprintln!(
-            "    wire subs={:<6} batch={:<4} {:>12.0} ns/event {:>12.0} events/s (codec {:.0} ns/event)",
-            r.subscriptions, r.batch_size, r.ns_per_event, r.events_per_sec, r.codec_ns_per_event
-        );
-        wire_results.push(r);
-    }
-
-    // Reliable-wire panel: the wire cells again with the reliable-link
-    // layer wrapping every frame. On a clean link this measures the pure
-    // fault-free overhead of reliability, which CI gates the same way as
-    // the codec overhead.
-    let mut reliable_results = Vec::new();
-    for &batch_size in batch_sizes {
-        let r = measure_reliable_wire(batch_subs, &full_events, batch_size, passes);
-        eprintln!(
-            "reliable subs={:<6} batch={:<4} {:>12.0} ns/event {:>12.0} events/s (framing {:.0} ns/event)",
-            r.subscriptions, r.batch_size, r.ns_per_event, r.events_per_sec, r.framing_ns_per_event
-        );
-        reliable_results.push(r);
-    }
-
-    // One lossy crash/restart probe; its counters land in the JSON so CI
-    // can validate the reliability observability fields end to end.
-    let reliable = ReliablePanel {
-        results: reliable_results,
-        probe: reliability_probe(config.seed),
-    };
-    eprintln!(
-        "reliability probe: retransmits={} dup_suppressed={} corrupt_dropped={} resyncs={} decode_errors={} queue_drops={}",
-        reliable.probe.retransmits,
-        reliable.probe.dup_suppressed,
-        reliable.probe.corrupt_dropped,
-        reliable.probe.resyncs,
-        reliable.probe.decode_errors,
-        reliable.probe.queue_drops,
-    );
-
-    // Durability panel: the subscribe path with the durable log off and
-    // on, plus replay of the resulting log into a fresh broker.
-    let durability_results = measure_durability(batch_subs, passes);
-    for r in &durability_results {
-        eprintln!(
-            "durability {:<11} subs={:<6} {:>10.0} ns/op {:>8.2} ms/pass (log {} B, replayed {})",
-            r.mode, r.subscriptions, r.ns_per_op, r.total_ms, r.log_bytes, r.records_replayed
-        );
-    }
-
-    // Sharded panel: the same workload through `ShardedEngine` at rising
-    // shard counts, chunked into large batches so the per-batch fan-out
-    // amortizes. The 1-shard cell is the sharding machinery's overhead
-    // floor; whether the higher counts scale depends on `host_parallelism`.
-    let (shard_counts, sharded_batch): (&[usize], usize) = if config.quick {
-        (&[1, 2], 16)
-    } else if config.wire_check {
-        (&[1, 2], 256)
-    } else {
-        (&[1, 2, 4, 8], 256)
-    };
-    let mut sharded_results = Vec::new();
-    for &shards in shard_counts {
-        let r = measure_sharded(batch_subs, &full_events, 10, shards, sharded_batch, passes);
-        eprintln!(
-            "{:>8} subs={:<6} shards={:<3} {:>11.0} ns/event {:>12.0} events/s",
-            r.engine, r.subscriptions, r.shards, r.ns_per_event, r.events_per_sec
-        );
-        sharded_results.push(r);
-    }
-
-    // Pre-filter panel: the uniform cell reuses the panel's own workload at
-    // the largest subscription count; the hot-key cell draws the skewed
-    // workload (Zipf ~1.6 titles, title-watcher-heavy mix). Both are matched
-    // with the stage-0 pre-filter forced on (hint installed) and forced off.
-    let prefilter_batch = if config.quick { 16 } else { 256 };
-    let mut hot_generator =
-        WorkloadGenerator::new(WorkloadConfig::hot_key().with_seed(config.seed));
-    let hot_subs = hot_generator.subscriptions(max_subs);
-    let hot_events = hot_generator.events(event_count);
-    let mut prefilter_results = Vec::new();
-    for (workload, subs, events) in [
-        ("uniform", batch_subs, &full_events[..]),
-        ("hot_key", &hot_subs[..], &hot_events[..]),
-    ] {
-        for mode in [PrefilterMode::On, PrefilterMode::Off] {
-            let r = measure_prefilter(workload, mode, subs, events, prefilter_batch, passes);
-            eprintln!(
-                "prefilter {:<8} mode={:<3} subs={:<6} {:>11.0} ns/event (killed {} stage2 {})",
-                r.workload,
-                r.mode,
-                r.subscriptions,
-                r.ns_per_event,
-                r.killed_by_prefilter,
-                r.stage2_candidates
-            );
-            prefilter_results.push(r);
-        }
-    }
-
-    // Subscription-analysis panel: the uniform cell reuses the panel's own
-    // workload; the redundant cell wraps the same subscriptions in
-    // analyzer-removable structure with a ~5% unsatisfiable slice. Each is
-    // registered with the analyzer on and off; the match sets must agree.
-    let analysis_batch = if config.quick { 16 } else { 256 };
-    let redundant = redundant_subs(batch_subs);
-    let mut analysis_results = Vec::new();
-    for (workload, subs) in [("uniform", batch_subs), ("redundant", &redundant[..])] {
-        let mut per_mode = Vec::new();
-        for mode in [AnalyzeMode::On, AnalyzeMode::Off] {
-            let r = measure_analysis(workload, mode, subs, &full_events, analysis_batch, passes);
-            eprintln!(
-                "analysis {:<9} mode={:<3} indexed={:<6} {:>10.0} ns/event (stage2 {} unsat {} sub-bytes {})",
-                r.workload,
-                r.mode,
-                r.indexed,
-                r.ns_per_event,
-                r.stage2_candidates,
-                r.unsatisfiable_rejected,
-                r.subscribe_bytes
-            );
-            per_mode.push(r.matches_per_pass);
-            analysis_results.push(r);
-        }
-        // Analysis must never change what matches: on ≡ off, per workload.
-        assert_eq!(
-            per_mode[0], per_mode[1],
-            "analysis changed the {workload} match set"
-        );
-    }
-
-    // A-Tree panel: counting vs the shared-subexpression engine on the
-    // redundancy-heavy shared population. 100k subscriptions by default;
-    // `--deep` adds the million-subscription cell (minutes, opt-in);
-    // `--quick` and `--wire-check` shrink to smoke-test size. Fewer events
-    // than the main panel keep the big cells bounded — the per-event cost
-    // is what the cell records, not the total.
-    let (atree_counts, atree_event_count): (&[usize], usize) = if config.quick {
-        (&[2_000], 64)
-    } else if config.wire_check {
-        (&[2_000], 128)
-    } else if config.deep {
-        (&[100_000, 1_000_000], 512)
-    } else {
-        (&[100_000], 512)
-    };
-    let atree_events = &full_events[..atree_event_count.min(full_events.len())];
-    let mut atree_results = Vec::new();
-    for &count in atree_counts {
-        // One timed pass at the million-subscription cell; the differential
-        // warm-up already stabilized the scratch.
-        let atree_passes = if count >= 1_000_000 { 1 } else { passes };
-        for r in measure_atree(&all_subs, atree_events, count, 64, atree_passes) {
-            eprintln!(
-                "{:>8} subs={:<8} {:>10.0} ns/event {:>12.0} events/s ({:.1} B/sub, {} shared subtrees)",
-                r.engine, r.subscriptions, r.ns_per_event, r.events_per_sec,
-                r.bytes_per_sub, r.shared_subtrees
-            );
-            atree_results.push(r);
-        }
-    }
-
-    print_comparison_table(&results, &batch_results, &wire_results, &sharded_results);
-
-    let json = render_json(
-        &config,
-        &results,
-        &batch_results,
-        &wire_results,
-        &reliable,
-        &durability_results,
-        &sharded_results,
-        &prefilter_results,
-        &analysis_results,
-        &atree_results,
-    );
-    if let Err(e) = std::fs::write(&config.out, &json) {
-        eprintln!("error: cannot write {}: {e}", config.out);
+    if let Err(e) = std::fs::write(&out, render_json(mode, seed, &rows)) {
+        eprintln!("error: cannot write {out}: {e}");
         std::process::exit(1);
     }
-    println!("wrote {}", config.out);
+    println!("wrote {out}");
+    let failures = check(mode, &rows);
+    for failure in &failures {
+        eprintln!("check failed: {failure}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }

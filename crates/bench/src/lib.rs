@@ -22,9 +22,8 @@ use pubsub_core::EventMessage;
 
 /// Returns a copy of `events` narrowed to their first `width` attributes in
 /// attribute-name order (events with at most `width` attributes are copied
-/// unchanged). The matching panels use this to vary event width over one
-/// generated workload, in both the criterion bench and the `matching_panel`
-/// bin, so the two always measure identical inputs.
+/// unchanged). The `matching_panel` bin uses this to vary event width over
+/// one generated workload.
 pub fn narrow_events(events: &[EventMessage], width: usize) -> Vec<EventMessage> {
     events
         .iter()

@@ -688,16 +688,8 @@ impl Simulation {
         let mut per_broker_filter = BTreeMap::new();
         let mut filter_stats = FilterStats::new();
         for (id, broker) in &self.brokers {
-            let mut stats = broker.filter_stats();
-            let before = filter_before[id];
             // Report only the delta caused by this batch.
-            stats.events_filtered -= before.events_filtered;
-            stats.batches_filtered -= before.batches_filtered;
-            stats.matches -= before.matches;
-            stats.trees_evaluated -= before.trees_evaluated;
-            stats.skipped_by_pmin -= before.skipped_by_pmin;
-            stats.predicates_fulfilled -= before.predicates_fulfilled;
-            stats.filter_time -= before.filter_time;
+            let stats = broker.filter_stats().since(&filter_before[id]);
             filter_stats.merge(&stats);
             per_broker_filter.insert(*id, stats);
         }
@@ -1316,6 +1308,35 @@ mod tests {
             reference.filter_stats().events_filtered
         );
         assert!(report.filter_stats.batches_filtered < report.filter_stats.events_filtered);
+    }
+
+    #[test]
+    fn publish_batch_reports_only_its_own_filter_counters() {
+        // Every counter of a batch's report is that batch's delta, not a
+        // total since construction: publishing the same batch twice, the
+        // second report equals the change in the cumulative stats.
+        use workload::{WorkloadConfig, WorkloadGenerator};
+        let mut generator = WorkloadGenerator::new(WorkloadConfig::small().with_seed(7));
+        let mut sim = Simulation::new(SimulationConfig::paper_line());
+        sim.register_all(generator.subscriptions(400));
+        let batch: pubsub_core::EventBatch = generator.events(64).into_iter().collect();
+        let first = sim.publish_batch(&batch);
+        let before = sim.filter_stats();
+        let second = sim.publish_batch(&batch);
+        let delta = sim.filter_stats().since(&before);
+        assert!(delta.stage2_candidates > 0 && delta.killed_by_prefilter > 0);
+        assert_eq!(second.filter_stats, delta);
+        // Nothing was filtered before the first batch, so the two reports
+        // add up to the cumulative totals.
+        let total = sim.filter_stats();
+        assert_eq!(
+            first.filter_stats.stage2_candidates + second.filter_stats.stage2_candidates,
+            total.stage2_candidates
+        );
+        assert_eq!(
+            first.filter_stats.killed_by_prefilter + second.filter_stats.killed_by_prefilter,
+            total.killed_by_prefilter
+        );
     }
 
     #[test]

@@ -246,15 +246,6 @@ impl ATreeEngine {
         Self::default()
     }
 
-    /// Creates an empty engine with capacity for roughly `n` subscriptions.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            nodes: Vec::with_capacity(n),
-            id_to_root: HashMap::with_capacity(n),
-            ..Self::default()
-        }
-    }
-
     /// Creates an empty engine with the given configuration.
     pub fn with_config(config: EngineConfig) -> Self {
         Self {

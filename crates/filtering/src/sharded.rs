@@ -341,6 +341,8 @@ impl<E: MatchingEngine + Send> MatchingEngine for ShardedEngine<E> {
         for shard in &mut self.shards {
             shard.reset_stats();
         }
+        // Counters restart at zero; the DAG gauges keep the shards' values.
+        self.refresh_detail_stats();
     }
 
     fn report(&self) -> EngineReport {
@@ -659,6 +661,33 @@ mod tests {
                 vec![SubscriptionId::from_raw(1)],
                 "{kind:?}"
             );
+        }
+    }
+
+    #[test]
+    fn reset_stats_keeps_the_dag_gauges() {
+        // Counters restart at zero on reset, but the DAG gauges describe
+        // the registered population and must survive it, sharded or not.
+        for kind in [EngineKind::ATree, EngineKind::ShardedATree(2)] {
+            let mut engine = kind.build_with_config(EngineConfig::default());
+            for i in 0..8u64 {
+                let category = if i % 2 == 0 { "books" } else { "music" };
+                engine.insert(sub(
+                    i,
+                    &Expr::and(vec![
+                        Expr::eq("category", category),
+                        Expr::le("price", (i * 10) as i64),
+                    ]),
+                ));
+            }
+            engine.match_event(&book_event("books", 5));
+            let gauges = *engine.stats();
+            assert!(gauges.dag_nodes > 0, "{kind:?}");
+            engine.reset_stats();
+            let reset = *engine.stats();
+            assert_eq!(reset.events_filtered, 0, "{kind:?}");
+            assert_eq!(reset.dag_nodes, gauges.dag_nodes, "{kind:?}");
+            assert_eq!(reset.shared_subtrees, gauges.shared_subtrees, "{kind:?}");
         }
     }
 

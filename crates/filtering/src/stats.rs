@@ -123,6 +123,30 @@ impl FilterStats {
         self.node_evals_saved += other.node_evals_saved;
         self.filter_time += other.filter_time;
     }
+
+    /// The counters accumulated since the `earlier` snapshot of the same
+    /// engine: every counter becomes `self - earlier`, while the gauges
+    /// (`dag_nodes`, `shared_subtrees`) keep their current value.
+    pub fn since(&self, earlier: &FilterStats) -> FilterStats {
+        let d = |now: u64, was: u64| now.saturating_sub(was);
+        FilterStats {
+            events_filtered: d(self.events_filtered, earlier.events_filtered),
+            batches_filtered: d(self.batches_filtered, earlier.batches_filtered),
+            matches: d(self.matches, earlier.matches),
+            trees_evaluated: d(self.trees_evaluated, earlier.trees_evaluated),
+            skipped_by_pmin: d(self.skipped_by_pmin, earlier.skipped_by_pmin),
+            predicates_fulfilled: d(self.predicates_fulfilled, earlier.predicates_fulfilled),
+            killed_by_prefilter: d(self.killed_by_prefilter, earlier.killed_by_prefilter),
+            stage2_candidates: d(self.stage2_candidates, earlier.stage2_candidates),
+            subs_simplified: d(self.subs_simplified, earlier.subs_simplified),
+            nodes_eliminated: d(self.nodes_eliminated, earlier.nodes_eliminated),
+            unsatisfiable_rejected: d(self.unsatisfiable_rejected, earlier.unsatisfiable_rejected),
+            dag_nodes: self.dag_nodes,
+            shared_subtrees: self.shared_subtrees,
+            node_evals_saved: d(self.node_evals_saved, earlier.node_evals_saved),
+            filter_time: self.filter_time.saturating_sub(earlier.filter_time),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -163,9 +187,9 @@ mod tests {
         assert_eq!(FilterStats::new().avg_batch_size(), 0.0);
     }
 
-    #[test]
-    fn merge_accumulates_all_counters() {
-        let mut a = FilterStats {
+    /// Every counter set to a distinct value.
+    fn sample() -> FilterStats {
+        FilterStats {
             events_filtered: 1,
             batches_filtered: 1,
             matches: 2,
@@ -181,7 +205,12 @@ mod tests {
             shared_subtrees: 12,
             node_evals_saved: 13,
             filter_time: Duration::from_micros(10),
-        };
+        }
+    }
+
+    #[test]
+    fn merge_accumulates_all_counters() {
+        let mut a = sample();
         let b = a;
         a.merge(&b);
         assert_eq!(a.events_filtered, 2);
@@ -199,5 +228,18 @@ mod tests {
         assert_eq!(a.shared_subtrees, 24);
         assert_eq!(a.node_evals_saved, 26);
         assert_eq!(a.filter_time, Duration::from_micros(20));
+    }
+
+    #[test]
+    fn since_subtracts_every_counter_and_keeps_the_gauges() {
+        let mut now = sample();
+        now.merge(&sample());
+        (now.dag_nodes, now.shared_subtrees) = (7, 3);
+        let expected = FilterStats {
+            dag_nodes: 7,
+            shared_subtrees: 3,
+            ..sample()
+        };
+        assert_eq!(now.since(&sample()), expected);
     }
 }
